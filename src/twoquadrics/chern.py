@@ -63,13 +63,6 @@ def series_inv(a: TruncSeries) -> TruncSeries:
     return TruncSeries(a.cap, tuple(out))
 
 
-def series_pow(a: TruncSeries, e: int) -> TruncSeries:
-    out = series_one(a.cap)
-    for _ in range(e):
-        out = series_mul(out, a)
-    return out
-
-
 @dataclass(frozen=True)
 class CIDescriptor:
     """A complete intersection of the given multidegree in P^ambient_dim."""

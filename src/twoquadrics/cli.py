@@ -21,9 +21,6 @@ EXIT_DISCREPANCY = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_CONFIG = 4
 
-SECTIONS = ("euler", "cohomology", "fiber", "geombasis", "smoothness", "degeneration")
-
-
 class _UsageError(Exception):
     pass
 
@@ -37,6 +34,11 @@ def _claim(claim_id: str, ok: bool, **payload) -> dict:
     entry = {"claim": claim_id, "ok": bool(ok)}
     entry.update(payload)
     return entry
+
+
+def _section(name: str, claims: list[dict], **fields) -> dict:
+    """A section report: its fields, its claims, and ok when all pass."""
+    return {"name": name, **fields, "claims": claims, "ok": all(c["ok"] for c in claims)}
 
 
 def _fmt_gauss(value) -> str:
@@ -68,24 +70,13 @@ def run_euler(cfg: dict) -> dict:
         _claim("euler-characteristic-is-2m-plus-4", chi == 2 * m + 4, chi=chi),
         _claim("primitive-rank-is-m-plus-3", prim == m + 3, prim_rank=prim),
     ]
-    return {
-        "name": "euler",
-        "chi": chi,
-        "prim_rank": prim,
-        "claims": claims,
-        "ok": all(c["ok"] for c in claims),
-    }
+    return _section("euler", claims, chi=chi, prim_rank=prim)
 
 
 def run_cohomology(cfg: dict) -> dict:
     m = cfg["m"]
     if m < 4:
-        return {
-            "name": "cohomology",
-            "skipped": "lattice claims start in dimension 4",
-            "claims": [],
-            "ok": True,
-        }
+        return _section("cohomology", [], skipped="lattice claims start in dimension 4")
     det_value = cohomology.integral_gram_det(m)
     expected_det = Fraction(-1 if m % 4 else 1)
     index = cohomology.lattice_index(m)
@@ -106,29 +97,23 @@ def run_cohomology(cfg: dict) -> dict:
             signature=list(sig),
         ),
     ]
-    return {
-        "name": "cohomology",
-        "determinant": det_value,
-        "lattice_index": index,
-        "primitive_signature": list(sig),
-        "claims": claims,
-        "ok": all(c["ok"] for c in claims),
-    }
+    return _section(
+        "cohomology",
+        claims,
+        determinant=det_value,
+        lattice_index=index,
+        primitive_signature=list(sig),
+    )
 
 
 def run_fiber(cfg: dict) -> dict:
     m = cfg["m"]
     if m < 4:
-        return {
-            "name": "fiber",
-            "skipped": "the fiber model starts in dimension 4",
-            "claims": [],
-            "ok": True,
-        }
+        return _section("fiber", [], skipped="the fiber model starts in dimension 4")
     try:
         basis = specialfiber.mv_kernel(m)
         span_ok = True
-    except AssertionError:
+    except ArithmeticError:
         basis = []
         span_ok = False
     gram = specialfiber.fiber_gram_on_kernel(m) if span_ok else []
@@ -162,26 +147,25 @@ def run_fiber(cfg: dict) -> dict:
             rank=rmap.rank(),
         ),
     ]
-    return {
-        "name": "fiber",
-        "kernel_dimension": len(basis),
-        "kernel_basis": {
+    return _section(
+        "fiber",
+        claims,
+        kernel_dimension=len(basis),
+        kernel_basis={
             "labels": list(specialfiber.mv_kernel_labels(m)),
             "coordinates": [
                 [_fmt_gauss(c) for c in v.coeffs] for v in basis
             ],
             "over": list(specialfiber.fiber_basis_labels(m)),
         },
-        "fiber_gram": [[str(x) for x in row] for row in gram],
-        "restriction_matrix": {
+        fiber_gram=[[str(x) for x in row] for row in gram],
+        restriction_matrix={
             "rows": list(rmap.target_labels),
             "columns": list(rmap.source_labels),
             "entries": [[_fmt_gauss(x) for x in row] for row in rmap.matrix],
         },
-        "restriction_rank": rmap.rank(),
-        "claims": claims,
-        "ok": all(c["ok"] for c in claims),
-    }
+        restriction_rank=rmap.rank(),
+    )
 
 
 def run_geombasis(cfg: dict) -> dict:
@@ -206,12 +190,7 @@ def run_geombasis(cfg: dict) -> dict:
             seed=cfg["seed"],
         ),
     ]
-    return {
-        "name": "geombasis",
-        "nodes": [str(v) for v in config.lambdas],
-        "claims": claims,
-        "ok": all(c["ok"] for c in claims),
-    }
+    return _section("geombasis", claims, nodes=[str(v) for v in config.lambdas])
 
 
 def run_smoothness(cfg: dict) -> dict:
@@ -259,17 +238,16 @@ def run_smoothness(cfg: dict) -> dict:
             )
         )
         per_prime.append({"prime": p, "locus": locus, "charts": charts})
-    return {
-        "name": "smoothness",
-        "pencil": {
+    return _section(
+        "smoothness",
+        claims,
+        pencil={
             "lambdas": list(data.lambdas),
             "g1": list(data.g1),
             "g2": list(data.g2),
         },
-        "runs": per_prime,
-        "claims": claims,
-        "ok": all(c["ok"] for c in claims),
-    }
+        runs=per_prime,
+    )
 
 
 def run_degeneration(cfg: dict) -> dict:
@@ -305,13 +283,12 @@ def run_degeneration(cfg: dict) -> dict:
                 survivors=len(report["surviving_terms"]),
             )
         )
-    return {
-        "name": "degeneration",
-        "report": report,
-        "inconclusive": report["status"] == "inconclusive",
-        "claims": claims,
-        "ok": all(c["ok"] for c in claims),
-    }
+    return _section(
+        "degeneration",
+        claims,
+        report=report,
+        inconclusive=report["status"] == "inconclusive",
+    )
 
 
 _RUNNERS = {
@@ -322,6 +299,7 @@ _RUNNERS = {
     "smoothness": run_smoothness,
     "degeneration": run_degeneration,
 }
+SECTIONS = tuple(_RUNNERS)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -370,14 +348,25 @@ def _config_from_args(args) -> dict:
         raise _UsageError("--m must be even and at least 2")
     lambdas = []
     if args.lambdas:
-        lambdas = [Fraction(part) for part in args.lambdas.split(",")]
+        try:
+            lambdas = [Fraction(part) for part in args.lambdas.split(",")]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise _UsageError(f"--lambdas must list rationals: {exc}") from exc
         if len(set(lambdas)) != len(lambdas):
             raise _UsageError("--lambdas must be pairwise distinct")
         if len(lambdas) != args.m + 3:
             raise _UsageError(f"--lambdas needs exactly {args.m + 3} nodes")
-    primes = _parse_int_list(args.primes)
+    try:
+        primes = _parse_int_list(args.primes)
+    except ValueError as exc:
+        raise _UsageError(f"--primes must list primes: {exc}") from exc
     if not primes or any(not _is_prime(p) for p in primes):
         raise _UsageError("--primes must list primes")
+    if 2 in primes:
+        raise _UsageError(
+            "--primes cannot include 2: in characteristic 2 every quadric "
+            "gradient vanishes, so the smoothness scans are meaningless"
+        )
     if args.trials < 1:
         raise _UsageError("--trials must be positive")
     return {
@@ -388,6 +377,18 @@ def _config_from_args(args) -> dict:
         "trials": args.trials,
         "budget": args.budget,
     }
+
+
+def _prose(value) -> str:
+    """A report value as text, with rationals written as the JSON writes
+    them: mappings as ``key=value`` pairs, never Python reprs."""
+    if isinstance(value, dict):
+        return ", ".join(f"{k}={_prose(v)}" for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_prose(v) for v in value) + "]"
+    if isinstance(value, (str, Fraction)):
+        return str(value)
+    return json.dumps(value)
 
 
 def _render_text(report: dict) -> str:
@@ -401,18 +402,18 @@ def _render_text(report: dict) -> str:
         for key, value in section.items():
             if key in skip:
                 continue
-            lines.append(f"[{name}] {key}: {value}")
+            lines.append(f"[{name}] {key}: {_prose(value)}")
         for claim in section["claims"]:
             status = "pass" if claim["ok"] else "FAIL"
             extras = {
                 k: v for k, v in claim.items() if k not in ("claim", "ok")
             }
-            suffix = f" {extras}" if extras else ""
+            suffix = f" {_prose(extras)}" if extras else ""
             lines.append(f"[{name}] {claim['claim']}: {status}{suffix}")
         if name == "degeneration" and "report" in section:
             rep = section["report"]
             lines.append(f"[{name}] total_terms: {rep['total_terms']}")
-            lines.append(f"[{name}] verdict_census: {rep['verdict_census']}")
+            lines.append(f"[{name}] verdict_census: {_prose(rep['verdict_census'])}")
             lines.append(f"[{name}] survivors: {len(rep['surviving_terms'])}")
     lines.append(f"overall: {report['verdict']}")
     if report.get("correlator") is not None:
@@ -430,7 +431,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (smoothcheck.DegenerateReductionError, ValueError) as exc:
+    except smoothcheck.DegenerateReductionError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -94,23 +94,21 @@ def integral_basis_matrix(m: int) -> Mat:
     return cols
 
 
-def integral_gram_det(m: int) -> Fraction:
-    """Determinant of the Gram matrix in the integral basis."""
-    _check_dimension(m, allow_m2=False)
-    g = quadric_pencil_gram(m).gram_rows()
-    c = integral_basis_matrix(m)
-    return det(mat_mul(transpose(c), mat_mul(g, c)))
-
-
 def integral_gram(m: int) -> Mat:
     g = quadric_pencil_gram(m).gram_rows()
     c = integral_basis_matrix(m)
     return mat_mul(transpose(c), mat_mul(g, c))
 
 
+def integral_gram_det(m: int) -> Fraction:
+    """Determinant of the Gram matrix in the integral basis."""
+    return det(integral_gram(m))
+
+
 def _omega_in_integral_coords(m: int) -> list[int]:
     coords = solve_exact(integral_basis_matrix(m), [Fraction(1)] + [Fraction(0)] * (m + 3))
-    assert coords is not None and all(c.denominator == 1 for c in coords)
+    if coords is None or any(c.denominator != 1 for c in coords):
+        raise ArithmeticError("omega^{m/2} is not integral in the integral basis")
     return [int(c) for c in coords]
 
 
@@ -122,7 +120,8 @@ def lattice_index(m: int) -> int:
     g = integral_gram(m)
     omega = _omega_in_integral_coords(m)
     pair_with_omega = mat_vec(g, [Fraction(x) for x in omega])
-    assert all(v.denominator == 1 for v in pair_with_omega)
+    if any(v.denominator != 1 for v in pair_with_omega):
+        raise ArithmeticError("pairing with omega^{m/2} is not integral")
     constraint = [[int(v) for v in pair_with_omega]]
     complement = integer_kernel_basis(constraint)
     inclusion = transpose([omega] + complement)

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic and exact linear algebra over Q and Z.
+"""Exact scalar arithmetic and exact linear algebra over Q, Q(i), F_p and Z.
 
 Scalars are plain ``int`` and ``fractions.Fraction``; Gaussian rationals get
 a small dataclass.  Matrices are dense row-major lists of lists.  All pivot
@@ -91,10 +91,6 @@ def identity(n: int) -> Mat:
     return [[Fraction(i == j) for j in range(n)] for i in range(n)]
 
 
-def zeros(rows: int, cols: int) -> Mat:
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)]
 
@@ -158,83 +154,86 @@ def det(m: Mat) -> Fraction:
     return Fraction(sign * work[n - 1][n - 1]) / scale
 
 
-def rank(m) -> int:
-    """Rank over the field of the entries (Fraction or GaussRational)."""
-    rows, cols = _check_rect(m)
-    if rows == 0 or cols == 0:
-        return 0
-    work = [list(row) for row in m]
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if work[i][c]), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        for i in range(r + 1, rows):
-            if work[i][c]:
-                f = work[i][c] / work[r][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+def echelon(m, p=None):
+    """Row echelon form by forward elimination, with its pivot columns.
 
-
-def _rref(m):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    rows, cols = _check_rect(m)
-    work = [list(row) for row in m]
+    Works over F_p, on the entries reduced mod the prime ``p``, when ``p``
+    is given, and over the field of the entries (Fraction or
+    GaussRational) otherwise.  The pivot is the first nonzero entry at or below the
+    current row.  Pivot rows are neither normalized nor cleared above:
+    ``rank`` needs only the pivot count, and ``kernel_basis`` and
+    ``solve_exact`` back-substitute.
+    """
+    work = [list(row) for row in m] if p is None else [[x % p for x in row] for row in m]
+    n_rows = len(work)
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if work[i][c]), None)
+    for c in range(len(work[0]) if work else 0):
+        pivot_row = next((i for i in range(r, n_rows) if work[i][c]), None)
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = work[r][c]
-        work[r] = [x / inv for x in work[r]]
-        for i in range(rows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        top = work[r]
+        if p is None:
+            for i in range(r + 1, n_rows):
+                if work[i][c]:
+                    f = work[i][c] / top[c]
+                    work[i] = [x - f * y for x, y in zip(work[i], top)]
+        else:
+            inv = pow(top[c], p - 2, p)
+            for i in range(r + 1, n_rows):
+                if work[i][c]:
+                    f = work[i][c] * inv % p
+                    work[i] = [(x - f * y) % p for x, y in zip(work[i], top)]
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == n_rows:
             break
     return work, pivots
 
 
-def kernel_basis(m) -> list[list]:
-    """Basis of the right null space; one vector per free column."""
-    rows, cols = _check_rect(m)
-    if rows == 0 or cols == 0:
-        return [[Fraction(i == j) for i in range(cols)] for j in range(cols)]
-    work, pivots = _rref(m)
-    pivot_set = set(pivots)
-    zero = m[0][0] - m[0][0]
+def rank(m, p=None) -> int:
+    """Rank over the field of the entries, or over F_p when ``p`` is given."""
+    _check_rect(m)
+    return len(echelon(m, p)[1])
+
+
+def _back_substitute(work, pivots, x, p=None):
+    """Set the pivot coordinates of ``x`` so that every echelon row
+    annihilates it; the other coordinates stay as given."""
+    zero = x[0] - x[0]
+    for row, c in zip(reversed(work[: len(pivots)]), reversed(pivots)):
+        s = -sum((row[j] * x[j] for j in range(c + 1, len(x))), zero)
+        x[c] = s / row[c] if p is None else s * pow(row[c], p - 2, p) % p
+    return x
+
+
+def kernel_basis(m, p=None) -> list[list]:
+    """Basis of the right null space; one vector per free column, with 1
+    there and 0 at the other free columns."""
+    _, cols = _check_rect(m)
+    if not cols:
+        return []
+    work, pivots = echelon(m, p)
+    zero = m[0][0] - m[0][0] if p is None else 0
     basis = []
     for free in range(cols):
-        if free in pivot_set:
-            continue
-        v = [zero] * cols
-        v[free] = zero + 1
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -work[row_idx][free]
-        basis.append(v)
+        if free not in pivots:
+            v = [zero] * cols
+            v[free] = zero + 1
+            basis.append(_back_substitute(work, pivots, v, p))
     return basis
 
 
 def solve_exact(a, b):
     """One exact solution of a*x = b, or None if the system is inconsistent."""
     rows, cols = _check_rect(a)
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    work, pivots = _rref(aug)
+    work, pivots = echelon([list(row) + [b[i]] for i, row in enumerate(a)])
     if cols in pivots:
         return None
-    x = [Fraction(0)] * cols
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = work[row_idx][cols]
-    return x
+    # the right-hand side enters as a last unknown fixed at -1
+    x = _back_substitute(work, pivots, [Fraction(0)] * cols + [Fraction(-1)])
+    return x[:cols]
 
 
 def _unit_rows(n: int) -> list[list[int]]:

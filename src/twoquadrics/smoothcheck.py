@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from itertools import product
 from random import Random
 
+from .exactmath import echelon, kernel_basis
+
 
 class BudgetExceededError(RuntimeError):
     """Raised when a scan would touch more points than the budget allows."""
@@ -195,25 +197,7 @@ def enumerate_points(system, p: int, budget: int = DEFAULT_BUDGET) -> list[tuple
 
 
 def _rank_mod(rows, p: int) -> int:
-    work = [[x % p for x in row] for row in rows]
-    if not work:
-        return 0
-    n_rows, n_cols = len(work), len(work[0])
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = pow(work[r][c], p - 2, p)
-        for i in range(r + 1, n_rows):
-            if work[i][c]:
-                f = work[i][c] * inv % p
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == n_rows:
-            break
-    return r
+    return len(echelon(rows, p)[1])
 
 
 def jacobian_rank(system, point, p: int) -> int:
@@ -492,42 +476,11 @@ def chart_smoothness_check(
     }
 
 
-def _nullspace_mod(rows, p: int) -> list[list[int]]:
-    work = [[x % p for x in row] for row in rows]
-    n_rows = len(work)
-    n_cols = len(work[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = pow(work[r][c], p - 2, p)
-        work[r] = [x * inv % p for x in work[r]]
-        for i in range(n_rows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    basis = []
-    for free in range(n_cols):
-        if free in pivots:
-            continue
-        v = [0] * n_cols
-        v[free] = 1
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = (-work[row_idx][free]) % p
-        basis.append(v)
-    return basis
-
-
 def _center_singular_mod(m, lambdas, g1, g2, p: int) -> bool:
     """Whether the blow-up center {f1 = f2 = g1 = g2 = 0} is singular mod
     p, checked directly on the codimension-two linear subspace cut out by
     the forms."""
-    span = _nullspace_mod([list(g1), list(g2)], p)
+    span = kernel_basis([list(g1), list(g2)], p)
     n = m + 3
     for y in projective_reps(len(span), p):
         x = [sum(span[j][i] * y[j] for j in range(len(span))) % p for i in range(n)]

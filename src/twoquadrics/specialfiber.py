@@ -48,10 +48,6 @@ class ComponentTables:
     def component_prim_rank(self) -> int:
         return 1
 
-    @property
-    def divisor_prim_rank(self) -> int:
-        return 0
-
 
 def component_tables(m: int) -> ComponentTables:
     if m % 2 or m < 4:
@@ -92,16 +88,6 @@ class FiberClass:
             m, [assignment.get(lbl, 0) for lbl in labels]
         )
 
-    def __add__(self, other: "FiberClass") -> "FiberClass":
-        return FiberClass(self.m, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "FiberClass") -> "FiberClass":
-        return FiberClass(self.m, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, c) -> "FiberClass":
-        c = GaussRational.of(c)
-        return FiberClass(self.m, tuple(c * x for x in self.coeffs))
-
 
 def restriction_to_divisor(m: int) -> dict[str, Fraction]:
     """Coefficient of omega_D^{m/2} in the divisor restriction of each
@@ -125,34 +111,28 @@ def gamma_matrix(m: int) -> Mat:
     return [row]
 
 
-def pairing_matrix(m: int) -> Mat:
-    """Intersection pairing over the six-block basis: block-diagonal over
-    the components, with the center block entering with a minus sign."""
+def pairing_diagonal(m: int) -> list[int]:
+    """Intersection pairing over the six-block basis, which is diagonal:
+    block-diagonal over the components, with the center block entering
+    with a minus sign."""
     t = component_tables(m)
-    n = m + 6
-    p = [[Fraction(0)] * n for _ in range(n)]
-    p[0][0] = Fraction(t.component_volume)  # h1
-    p[1][1] = Fraction(t.beta_self)  # beta
-    p[2][2] = Fraction(t.component_volume)  # h2
-    p[3][3] = Fraction(t.theta_self)  # theta
-    p[4][4] = Fraction(-t.center_volume)  # hz
-    for i in range(5, n):
-        p[i][i] = Fraction(-t.z_self)  # z_i
-    return p
+    return [
+        t.component_volume,  # h1
+        t.beta_self,  # beta
+        t.component_volume,  # h2
+        t.theta_self,  # theta
+        -t.center_volume,  # hz
+    ] + [-t.z_self] * (m + 1)  # z_i
 
 
 def fiber_pairing(x: FiberClass, y: FiberClass) -> GaussRational:
     """Bilinear extension of the component top-intersection table."""
     if x.m != y.m:
         raise ValueError("dimension mismatch")
-    p = pairing_matrix(x.m)
     acc = GaussRational.of(0)
-    for i, xi in enumerate(x.coeffs):
-        if not xi:
-            continue
-        for j, yj in enumerate(y.coeffs):
-            if yj and p[i][j]:
-                acc = acc + xi * yj * p[i][j]
+    for xi, yi, d in zip(x.coeffs, y.coeffs, pairing_diagonal(x.m)):
+        if xi and yi:
+            acc = acc + xi * yi * d
     return acc
 
 
@@ -180,10 +160,10 @@ def mv_kernel(m: int) -> list[FiberClass]:
             (g * c.re for g, c in zip(gamma[0], v.coeffs)), Fraction(0)
         )
         if image or any(c.im for c in v.coeffs):
-            raise AssertionError("named class does not lie in the kernel")
+            raise ArithmeticError("named class does not lie in the kernel")
     named_rows = [[c.re for c in v.coeffs] for v in named]
     if rank(named_rows) != len(named) or len(named) != len(computed):
-        raise AssertionError("named classes do not span the kernel")
+        raise ArithmeticError("named classes do not span the kernel")
     return named
 
 
@@ -195,7 +175,8 @@ def fiber_gram_on_kernel(m: int) -> Mat:
         row = []
         for y in basis:
             val = fiber_pairing(x, y)
-            assert not val.im
+            if val.im:
+                raise ArithmeticError("fiber pairing on the kernel is not real")
             row.append(val.re)
         gram.append(row)
     return gram

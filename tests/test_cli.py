@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from twoquadrics import cli
 from twoquadrics.cli import (
     EXIT_CONFIG,
     EXIT_DISCREPANCY,
@@ -44,13 +47,27 @@ def test_odd_dimension_is_config_error(capsys):
 
 
 def test_bad_primes_is_config_error(capsys):
-    code, _, err = run_cli(capsys, "smoothness", "--m", "2", "--primes", "4")
-    assert code == EXIT_CONFIG
+    for primes in ("4", "2", "5,2", "5,x"):
+        code, _, err = run_cli(capsys, "smoothness", "--m", "2", "--primes", primes)
+        assert code == EXIT_CONFIG, primes
+        assert "--primes" in err
+    assert "characteristic 2" in run_cli(capsys, "smoothness", "--m", "4", "--primes", "2")[2]
 
 
 def test_bad_lambda_count_is_config_error(capsys):
-    code, _, err = run_cli(capsys, "geombasis", "--m", "4", "--lambdas", "0,1,2")
-    assert code == EXIT_CONFIG
+    for lambdas in ("0,1,2", "1/0,1,2,3,4,5,6", "a,1,2,3,4,5,6"):
+        code, _, err = run_cli(capsys, "geombasis", "--m", "4", "--lambdas", lambdas)
+        assert code == EXIT_CONFIG, lambdas
+        assert "--lambdas" in err
+
+
+def test_internal_value_error_is_not_a_config_error(monkeypatch):
+    def broken(cfg):
+        raise ValueError("point does not satisfy the system")
+
+    monkeypatch.setitem(cli._RUNNERS, "euler", broken)
+    with pytest.raises(ValueError, match="does not satisfy"):
+        main(["euler", "--m", "4"])
 
 
 def test_unknown_section_is_config_error(capsys):
@@ -113,3 +130,10 @@ def test_sections_report_claims(capsys):
         code, out, _ = run_cli(capsys, section, "--m", "4")
         assert code == EXIT_OK
         assert ": pass" in out
+
+
+def test_text_report_has_no_python_reprs(capsys):
+    code, out, _ = run_cli(capsys, "cohomology", "--m", "4")
+    assert code == EXIT_OK
+    assert "Fraction(" not in out
+    assert "pass determinant=1, expected=1" in out

@@ -128,3 +128,13 @@ def test_index_matches_inclusion_determinant():
         inclusion = transpose([omega] + complement)
         d = det([[Fraction(x) for x in r] for r in inclusion])
         assert abs(d) == lattice_index(m) == 4
+
+
+def test_non_integral_omega_coordinates_raise(monkeypatch):
+    from twoquadrics import cohomology
+
+    monkeypatch.setattr(
+        cohomology, "solve_exact", lambda a, b: [Fraction(1, 2)] + [Fraction(0)] * (len(b) - 1)
+    )
+    with pytest.raises(ArithmeticError):
+        cohomology._omega_in_integral_coords(4)

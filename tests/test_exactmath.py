@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -269,3 +269,48 @@ def test_rank_and_kernel_over_gauss_rationals():
         assert all(
             sum((r * x for r, x in zip(row, v)), zero) == 0 for row in m
         )
+
+
+def _span_mod(vectors, n, p):
+    """Every F_p combination of the vectors, as a set of n-tuples."""
+    return {
+        tuple(sum(c * v[j] for c, v in zip(coeffs, vectors)) % p for j in range(n))
+        for coeffs in product(range(p), repeat=len(vectors))
+    }
+
+
+def test_rank_and_kernel_mod_p_against_brute_force():
+    rng = random.Random(37)
+    for p in (3, 5, 7):
+        for _ in range(15):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+            if rng.random() < 0.4 and rows > 1:
+                m[-1] = [3 * x - y for x, y in zip(m[0], m[1 % rows])]
+            r = rank(m, p)
+            # the row space has p^rank elements
+            assert len(_span_mod(m, cols, p)) == p**r
+            null = {
+                v for v in product(range(p), repeat=cols)
+                if all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in m)
+            }
+            basis = kernel_basis(m, p)
+            assert len(basis) == cols - r
+            assert all(0 <= x < p for v in basis for x in v)
+            assert _span_mod(basis, cols, p) == null
+
+
+def test_kernel_over_gauss_rationals_finds_the_restriction_null_class():
+    from twoquadrics.specialfiber import restriction_map
+
+    rmap = restriction_map(4)
+    rows = rmap.matrix_rows()
+    # row operations keep the kernel; mix in imaginary multiples
+    mixed = [list(row) for row in rows]
+    for i in range(1, len(mixed)):
+        mixed[0] = [a + IMAG_UNIT * i * b for a, b in zip(mixed[0], mixed[i])]
+        mixed[i] = [b - frac(1, 2) * a for a, b in zip(mixed[i - 1], mixed[i])]
+    assert rank(mixed) == rank(rows) == len(rows)
+    basis = kernel_basis(mixed)
+    assert basis == rmap.kernel() == [[GaussRational.of(int(j == 1)) for j in range(len(rows[0]))]]
+    assert all(isinstance(x, GaussRational) for x in basis[0])
