@@ -201,21 +201,24 @@ def run_smoothness(cfg: dict) -> dict:
         if any(v.denominator != 1 for v in lambdas):
             raise _UsageError("the finite-field scans need integer --lambdas")
         lambdas = [int(v) for v in lambdas]
+    # before the genericity screen, which scans P^m(F_p) for every draw
+    try:
+        for p in primes:
+            smoothcheck._check_budget(m + 3, p, cfg["budget"])
+    except smoothcheck.BudgetExceededError as exc:
+        raise _UsageError(str(exc)) from exc
     data = smoothcheck.default_pencil(
         m, primes=tuple(primes), seed=cfg["seed"], lambdas=lambdas
     )
     claims = []
     per_prime = []
     for p in primes:
-        try:
-            locus = smoothcheck.singular_locus_check(
-                data, p, allow_lambda_collisions=True, budget=cfg["budget"]
-            )
-            charts = smoothcheck.chart_smoothness_check(
-                data, p, allow_lambda_collisions=True, budget=cfg["budget"]
-            )
-        except smoothcheck.BudgetExceededError as exc:
-            raise _UsageError(str(exc)) from exc
+        locus = smoothcheck.singular_locus_check(
+            data, p, allow_lambda_collisions=True, budget=cfg["budget"]
+        )
+        charts = smoothcheck.chart_smoothness_check(
+            data, p, allow_lambda_collisions=True, budget=cfg["budget"]
+        )
         claims.append(
             _claim(
                 f"singular-locus-equals-base-locus-mod-{p}",

@@ -3,10 +3,11 @@
 The family lives in A^1 x P^{m+2}: a fixed quadric together with a moving
 equation t*f2 + g1*g2, where f1 is a sum of squares, f2 a diagonal quadric
 with weights lambda_i, and g1, g2 linear forms.  Scanning every F_p point
-chart by chart verifies, at desk scale, that the rank-deficient locus of
-the total space is exactly the base locus {t = f1 = f2 = g1 = g2 = 0},
-that both blow-up charts are smooth of codimension 3, and that the divisor
-and the blow-up center are themselves smooth.  A clean scan at several
+of the quadric f1 = 0, with closed-form values and gradients, verifies at
+desk scale that the rank-deficient locus of the total space is exactly the
+base locus {t = f1 = f2 = g1 = g2 = 0}, that both blow-up charts are smooth
+of codimension 3, and that the divisor and the blow-up center are
+themselves smooth.  A clean scan at several
 primes is strong evidence for the characteristic-zero statement, not a
 proof; reports say so.
 """
@@ -14,8 +15,10 @@ proof; reports say so.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 from random import Random
 
 from .exactmath import echelon, kernel_basis
@@ -30,7 +33,8 @@ class DegenerateReductionError(ValueError):
 
 
 class Poly:
-    """Sparse multivariate polynomial with integer coefficients."""
+    """Sparse multivariate polynomial with integer coefficients: the
+    equations of the family, fingerprinted in every report."""
 
     __slots__ = ("nvars", "terms", "_compiled")
 
@@ -47,52 +51,6 @@ class Poly:
             (coeff, [i for i, e in enumerate(exps) for _ in range(e)])
             for exps, coeff in sorted(self.terms.items())
         ]
-
-    @staticmethod
-    def constant(nvars: int, value: int) -> "Poly":
-        return Poly(nvars, {(0,) * nvars: value})
-
-    @staticmethod
-    def variable(index: int, nvars: int) -> "Poly":
-        exps = [0] * nvars
-        exps[index] = 1
-        return Poly(nvars, {tuple(exps): 1})
-
-    def __add__(self, other: "Poly") -> "Poly":
-        merged = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            merged[exps] = merged.get(exps, 0) + coeff
-        return Poly(self.nvars, merged)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + other.scale(-1)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return Poly(self.nvars, out)
-
-    def scale(self, c: int) -> "Poly":
-        return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
-
-    def pad(self, nvars: int) -> "Poly":
-        if nvars < self.nvars:
-            raise ValueError("cannot shrink the variable count")
-        return Poly(
-            nvars, {e + (0,) * (nvars - self.nvars): c for e, c in self.terms.items()}
-        )
-
-    def partial(self, index: int) -> "Poly":
-        out: dict[tuple[int, ...], int] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[index]
-            if e:
-                key = exps[:index] + (e - 1,) + exps[index + 1 :]
-                out[key] = out.get(key, 0) + coeff * e
-        return Poly(self.nvars, out)
 
     def eval_mod(self, point, p: int) -> int:
         acc = 0
@@ -183,33 +141,8 @@ def _check_budget(nvars: int, p: int, budget: int) -> None:
         )
 
 
-def enumerate_points(system, p: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
-    """All projective F_p points satisfying every polynomial in the system."""
-    nvars = system[0].nvars
-    if any(poly.nvars != nvars for poly in system):
-        raise ValueError("system polynomials disagree on the variable count")
-    _check_budget(nvars, p, budget)
-    return [
-        pt
-        for pt in projective_reps(nvars, p)
-        if all(poly.eval_mod(pt, p) == 0 for poly in system)
-    ]
-
-
 def _rank_mod(rows, p: int) -> int:
     return len(echelon(rows, p)[1])
-
-
-def jacobian_rank(system, point, p: int) -> int:
-    """Rank over F_p of the matrix of formal partials at a point of the
-    variety; rows are equations, columns variables."""
-    if any(poly.eval_mod(point, p) != 0 for poly in system):
-        raise ValueError("point does not satisfy the system")
-    rows = [
-        [poly.partial(i).eval_mod(point, p) for i in range(poly.nvars)]
-        for poly in system
-    ]
-    return _rank_mod(rows, p)
 
 
 def _lambda_collisions(lambdas, p: int) -> list[tuple[int, int]]:
@@ -226,6 +159,8 @@ def _forms_independent(g1, g2, p: int) -> bool:
 
 
 def _validate(data: PencilData, p: int, allow_lambda_collisions: bool) -> list[tuple[int, int]]:
+    if p == 2:
+        raise DegenerateReductionError("in characteristic 2 every quadric gradient vanishes")
     if not _forms_independent(data.g1, data.g2, p):
         raise DegenerateReductionError(
             f"the two linear forms are dependent mod {p}; "
@@ -240,13 +175,58 @@ def _validate(data: PencilData, p: int, allow_lambda_collisions: bool) -> list[t
     return collisions
 
 
+def _square_roots(p: int) -> list[list[int]]:
+    """The square roots of each residue mod p, ascending."""
+    roots: list[list[int]] = [[] for _ in range(p)]
+    for y in range(p):
+        roots[y * y % p].append(y)
+    return roots
+
+
+def _quadric_count(n: int, p: int) -> int:
+    """#{x_0^2 + ... + x_{n-1}^2 = 0} in P^{n-1}(F_p) for odd p: the
+    parabolic count, plus chi((-1)^{n/2}) p^{(n-2)/2} when n is even."""
+    count = projective_count(n - 1, p)
+    if n % 2 == 0:
+        chi = 1 if pow((-1) ** (n // 2) % p, (p - 1) // 2, p) == 1 else -1
+        count += chi * p ** ((n - 2) // 2)
+    return count
+
+
 def _scan_base(data: PencilData, p: int):
-    """One pass over P^{m+2}(F_p) yielding each representative with the
-    values of f1, f2, g1, g2."""
-    polys = data.polys()
-    f1, f2, g1, g2 = polys["f1"], polys["f2"], polys["g1"], polys["g2"]
-    for pt in projective_reps(data.m + 3, p):
-        yield pt, f1.eval_mod(pt, p), f2.eval_mod(pt, p), g1.eval_mod(pt, p), g2.eval_mod(pt, p)
+    """Every point of the quadric f1 = 0 in P^{m+2}(F_p), in
+    ``projective_reps`` order, with the values of f1 (zero), f2, g1 and g2.
+
+    The first m+2 coordinates run over ``projective_reps``; the last one is
+    solved from a table of square roots.  The number of points yielded is
+    checked against the closed-form count of the quadric afterwards."""
+    n = data.m + 3
+    lam, a, b = data.lambdas, data.g1, data.g2
+    roots = _square_roots(p)
+    found = 0
+    for head in projective_reps(n - 1, p):
+        squares = list(map(mul, head, head))
+        last = roots[-sum(squares) % p]
+        if not last:
+            continue
+        v2 = sum(map(mul, lam, squares))
+        w1 = sum(map(mul, a, head))
+        w2 = sum(map(mul, b, head))
+        for y in last:
+            found += 1
+            yield head + (y,), 0, (v2 + lam[-1] * y * y) % p, (w1 + a[-1] * y) % p, (w2 + b[-1] * y) % p
+    expected = _quadric_count(n, p)
+    if found != expected:
+        raise ArithmeticError(
+            f"the scan found {found} points on f1 = 0 mod {p}, the closed form {expected}"
+        )
+
+
+def _proportional(x, row, cols, j: int, p: int) -> bool:
+    """Whether ``row`` is a multiple of ``x`` on the columns ``cols``,
+    tested by the 2x2 minors against column j, where x[j] != 0."""
+    xj, rj = x[j], row[j]
+    return all((row[i] * xj - rj * x[i]) % p == 0 for i in cols)
 
 
 def _equation_hashes(data: PencilData) -> dict[str, str]:
@@ -271,34 +251,30 @@ def singular_locus_check(
     _check_budget(data.m + 3, p, budget)
     if t_samples is None:
         t_samples = list(range(p))
-    polys = data.polys()
     n = data.m + 3
-    df1 = [polys["f1"].partial(i) for i in range(n)]
-    df2 = [polys["f2"].partial(i) for i in range(n)]
-    dg1 = list(data.g1)
-    dg2 = list(data.g2)
+    lam2 = [2 * v for v in data.lambdas]
+    a, b = data.g1, data.g2
+    hits = Counter(t % p for t in t_samples)
 
-    scanned = 0
     on_family = 0
     t_zero_expected: list[tuple[int, ...]] = []
     t_zero_deficient: list[tuple[int, ...]] = []
     nonzero_t_deficient: list[tuple[int, tuple[int, ...]]] = []
-    for pt, v1, v2, w1, w2 in _scan_base(data, p):
-        scanned += 1
-        if v1:
+    for pt, _, v2, w1, w2 in _scan_base(data, p):
+        if v2:
+            # one fiber, t = -g1*g2/f2, where the t column f2 gives rank 2
+            on_family += hits[-w1 * w2 * pow(v2, p - 2, p) % p]
             continue
-        row1 = None
+        if w1 and w2:  # f2 = 0 and g1*g2 != 0: on no fiber
+            continue
+        lead = pt.index(1)
         for t in t_samples:
-            if (t * v2 + w1 * w2) % p:
-                continue
             on_family += 1
-            if row1 is None:
-                row1 = [d.eval_mod(pt, p) for d in df1] + [0]
-            row2 = [
-                (t * d.eval_mod(pt, p) + w1 * b + w2 * a) % p
-                for d, a, b in zip(df2, dg1, dg2)
-            ] + [v2]
-            deficient = _rank_mod([row1, row2], p) < 2
+            # [grad f1, 0] = [2x, 0] is nonzero, so with f2 = 0 the pair is
+            # deficient exactly when [grad F2, 0] is a multiple of it: grad
+            # F2 = c*x, with c read off the lead column, where x is 1
+            grad = [t * l * x + w1 * bi + w2 * ai for l, x, ai, bi in zip(lam2, pt, a, b)]
+            deficient = _proportional(pt, grad, range(n), lead, p)
             if t == 0:
                 if v2 == 0 and w1 == 0 and w2 == 0:
                     t_zero_expected.append(pt)
@@ -315,7 +291,7 @@ def singular_locus_check(
         "prime": p,
         "equations": _equation_hashes(data),
         "lambda_collisions": collisions,
-        "points_scanned": scanned,
+        "points_scanned": projective_count(n, p),
         "points_on_family": on_family,
         "t_zero": {
             "base_locus_points": len(expected),
@@ -333,28 +309,6 @@ def singular_locus_check(
             "evidence, not a characteristic-zero proof"
         ),
         "ok": not discrepancies,
-    }
-
-
-def chart_systems(data: PencilData) -> dict[str, list[Poly]]:
-    """The two affine blow-up charts; variables are the m+3 homogeneous
-    coordinates, then t, then the chart coordinate."""
-    n = data.m + 3
-    total = n + 2
-    polys = {k: v.pad(total) for k, v in data.polys().items()}
-    t = Poly.variable(n, total)
-    chart_var = Poly.variable(n + 1, total)
-    return {
-        "chart_T": [
-            polys["f1"],
-            polys["f2"] + polys["g1"] * chart_var,
-            t * chart_var - polys["g2"],
-        ],
-        "chart_G2": [
-            polys["f1"],
-            chart_var * polys["f2"] + polys["g1"],
-            t - polys["g2"] * chart_var,
-        ],
     }
 
 
@@ -398,15 +352,8 @@ def chart_smoothness_check(
     collisions = _validate(data, p, allow_lambda_collisions)
     n = data.m + 3
     _check_budget(n, p, budget)
-    charts = chart_systems(data)
-    partials = {
-        name: [[poly.partial(i) for i in range(n + 2)] for poly in system]
-        for name, system in charts.items()
-    }
-    base_polys = data.polys()
-    grads = {
-        name: [poly.partial(i) for i in range(n)] for name, poly in base_polys.items()
-    }
+    lam2 = [2 * v for v in data.lambdas]
+    a, b = data.g1, data.g2
 
     chart_points = 0
     chart_failures: list[tuple[str, tuple[int, ...]]] = []
@@ -415,36 +362,51 @@ def chart_smoothness_check(
     center_points = 0
     center_failures: list[tuple[int, ...]] = []
 
-    for pt, v1, v2, w1, w2 in _scan_base(data, p):
-        if v1:
+    # In the columns off the lead one, the chart rows are [2x, 0, 0], [grad
+    # of the second equation, 0, e] and a third row whose t entry is G
+    # (chart_T) or 1 (chart_G2).  Where that entry is nonzero, rank 3 means
+    # the first two rows without the t column are independent: e != 0
+    # (e is g1 on chart_T, f2 on chart_G2), or the gradient is no multiple
+    # of x.
+    for pt, _, v2, w1, w2 in _scan_base(data, p):
+        if v2 and w1:
+            # one point on each chart, at G = -f2/g1 != 0 on chart_T, and
+            # both of rank 3; no divisor point
+            chart_points += 2
             continue
-        lead = next(i for i, x in enumerate(pt) if x)
-        cols = [i for i in range(n + 2) if i != lead]
-        for name, solver in (
-            ("chart_T", _chart_t_solutions),
-            ("chart_G2", _chart_g2_solutions),
-        ):
-            for t_val, cv in solver(v2, w1, w2, p):
-                chart_points += 1
-                full = pt + (t_val, cv)
+        lead = pt.index(1)
+        rest = [i for i in range(n) if i != lead]
+        j = next(i for i in rest if pt[i])  # exists, since f1 = 0
+        grad_f2 = [l * x for l, x in zip(lam2, pt)]
+        for t_val, g in _chart_t_solutions(v2, w1, w2, p):
+            chart_points += 1
+            if g:  # G != 0 is left only where f2 = g1 = 0, so e = 0
+                full_rank = not _proportional(
+                    pt, [d + c * g for d, c in zip(grad_f2, a)], rest, j, p
+                )
+            else:
                 rows = [
-                    [dp[i].eval_mod(full, p) for i in cols]
-                    for dp in partials[name]
+                    [2 * pt[i] for i in rest] + [0, 0],
+                    [grad_f2[i] for i in rest] + [0, w1],
+                    [-b[i] for i in rest] + [0, t_val],
                 ]
-                if _rank_mod(rows, p) != 3:
-                    chart_failures.append((name, full))
+                full_rank = _rank_mod(rows, p) == 3
+            if not full_rank:
+                chart_failures.append(("chart_T", pt + (t_val, g)))
+        for t_val, g in _chart_g2_solutions(v2, w1, w2, p):
+            chart_points += 1
+            if not v2 and _proportional(
+                pt, [g * d + c for d, c in zip(grad_f2, a)], rest, j, p
+            ):
+                chart_failures.append(("chart_G2", pt + (t_val, g)))
         if w1 == 0 and w2 == 0:
             divisor_points += 1
-            rows = [
-                [g.eval_mod(pt, p) for g in grads["f1"]],
-                list(data.g1),
-                list(data.g2),
-            ]
+            rows = [[2 * x for x in pt], list(a), list(b)]
             if _rank_mod(rows, p) != 3:
                 divisor_failures.append(pt)
             if v2 == 0:
                 center_points += 1
-                rows.insert(1, [g.eval_mod(pt, p) for g in grads["f2"]])
+                rows.insert(1, grad_f2)
                 if _rank_mod(rows, p) != 4:
                     center_failures.append(pt)
 

@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from twoquadrics import cli
+from twoquadrics import cli, smoothcheck
 from twoquadrics.cli import (
     EXIT_CONFIG,
     EXIT_DISCREPANCY,
@@ -123,6 +124,19 @@ def test_budget_maps_to_config_error(capsys):
     )
     assert code == EXIT_CONFIG
     assert "budget" in err
+
+
+def test_budget_is_checked_before_the_genericity_screen(capsys, monkeypatch):
+    # the screen scans P^12(F_3) for every draw; it must not start at all
+    def screen(*args, **kwargs):
+        pytest.fail("default_pencil ran before the budget check")
+
+    monkeypatch.setattr(smoothcheck, "default_pencil", screen)
+    start = time.monotonic()
+    code, _, err = run_cli(capsys, "smoothness", "--m", "12", "--primes", "3")
+    assert code == EXIT_CONFIG
+    assert "budget" in err
+    assert time.monotonic() - start < 5
 
 
 def test_sections_report_claims(capsys):

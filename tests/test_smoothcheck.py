@@ -1,16 +1,16 @@
 import pytest
 
+import smoothcheck_reference as reference
+from smoothcheck_reference import Poly, chart_systems, enumerate_points, jacobian_rank
+from twoquadrics import smoothcheck
 from twoquadrics.smoothcheck import (
     BudgetExceededError,
     DegenerateReductionError,
     PencilData,
-    Poly,
+    _scan_base,
     chart_smoothness_check,
-    chart_systems,
     default_pencil,
     diagonal_quadric,
-    enumerate_points,
-    jacobian_rank,
     linear_form,
     projective_count,
     projective_reps,
@@ -79,7 +79,7 @@ def test_jacobian_rank_linear():
 
 def _total_space_system(data, t_value, p):
     n = data.m + 3
-    polys = {k: v.pad(n + 1) for k, v in data.polys().items()}
+    polys = reference.polys(data, n + 1)
     t_const = Poly.constant(n + 1, t_value)
     moving = t_const * polys["f2"] + polys["g1"] * polys["g2"]
     return [polys["f1"], moving]
@@ -181,3 +181,90 @@ def test_pencil_data_validation():
         PencilData(2, (0, 1, 2, 3), (1, 1, 1, 1, 1), (1, 2, 3, 4, 5))
     with pytest.raises(ValueError):
         PencilData(2, (0, 1, 2, 3, 0), (1, 1, 1, 1, 1), (1, 2, 3, 4, 5))
+
+
+def _generic_data(m):
+    n = m + 3
+    return PencilData(m, tuple(range(n)), tuple(range(1, n + 1)), (1,) * n)
+
+
+@pytest.mark.parametrize(
+    "m,p", [(1, 3), (2, 3), (3, 3), (6, 3), (1, 5), (2, 5), (3, 5), (4, 5), (1, 7), (2, 7), (1, 11)]
+)
+def test_scan_base_walks_exactly_the_quadric(m, p):
+    # both parities of m+3; the scan also checks its count against the
+    # closed form and raises on a mismatch
+    data = _generic_data(m)
+    polys = data.polys()
+    scanned = list(_scan_base(data, p))
+    assert [item[0] for item in scanned] == enumerate_points([polys["f1"]], p)
+    for pt, v1, v2, w1, w2 in scanned:
+        assert (v1, v2, w1, w2) == tuple(polys[k].eval_mod(pt, p) for k in ("f1", "f2", "g1", "g2"))
+
+
+def test_scan_base_count_mismatch_is_an_internal_error(monkeypatch):
+    real = smoothcheck._square_roots
+    monkeypatch.setattr(smoothcheck, "_square_roots", lambda p: [r[:1] for r in real(p)])
+    with pytest.raises(ArithmeticError, match="closed form"):
+        list(_scan_base(_generic_data(2), 5))
+    with pytest.raises(ArithmeticError):
+        singular_locus_check(default_pencil(2, primes=(5,), seed=0), 5)
+
+
+# (data, prime): seeds 1, 31 and 18 have chart failures and rank-deficient
+# points at t != 0; the hand-made forms fail the divisor, the center and
+# chart_T at G = 0, and the last pair puts a t = 0 discrepancy in the locus
+ORACLE_CASES = [
+    *((default_pencil(2, primes=(5,), seed=s), 5) for s in (0, 1, 31)),
+    (default_pencil(2, primes=(7,), seed=18), 7),
+    *(
+        (PencilData(2, (0, 1, 2, 3, 4), g1, g2), 5)
+        for g1, g2 in (
+            ((2, 4, 1, 2, 2), (3, 2, 3, 3, 0)),
+            ((0, 2, 3, 2, 3), (1, 2, 0, 2, 4)),
+            ((3, 1, 0, 4, 2), (0, 4, 1, 1, 1)),
+            ((3, 3, 0, 2, 4), (3, 3, 2, 3, 2)),
+        )
+    ),
+    (default_pencil(4, primes=(5, 7, 11), seed=0), 3),
+]
+
+
+@pytest.mark.parametrize("data,p", ORACLE_CASES)
+def test_kernel_reports_equal_the_generic_reference(data, p):
+    locus = singular_locus_check(data, p, allow_lambda_collisions=True)
+    charts = chart_smoothness_check(data, p, allow_lambda_collisions=True)
+    assert locus == reference.singular_locus_check(data, p, allow_lambda_collisions=True)
+    assert charts == reference.chart_smoothness_check(data, p, allow_lambda_collisions=True)
+    # some t samples, out of order and unreduced
+    samples = [3, 0, p + 1]
+    assert singular_locus_check(data, p, t_samples=samples, allow_lambda_collisions=True) == (
+        reference.singular_locus_check(data, p, t_samples=samples, allow_lambda_collisions=True)
+    )
+
+
+def test_oracle_cases_reach_every_failure_branch():
+    reports = [
+        (
+            singular_locus_check(data, p, allow_lambda_collisions=True),
+            chart_smoothness_check(data, p, allow_lambda_collisions=True),
+        )
+        for data, p in ORACLE_CASES
+    ]
+    assert any(locus["t_zero"]["discrepancies"] for locus, _ in reports)
+    assert any(locus["t_nonzero"]["rank_deficient_points"] for locus, _ in reports)
+    failures = [f for _, charts in reports for f in charts["chart_rank_failures"]]
+    assert {name for name, _ in failures} == {"chart_T", "chart_G2"}
+    # the chart coordinate comes last in a chart point
+    assert any(name == "chart_T" and pt[-1] == 0 for name, pt in failures)
+    assert any(name == "chart_T" and pt[-1] != 0 for name, pt in failures)
+    assert any(charts["divisor_rank_failures"] for _, charts in reports)
+    assert any(charts["center_rank_failures"] for _, charts in reports)
+
+
+def test_characteristic_two_is_rejected():
+    data = PencilData(2, (0, 1, 2, 3, 4), (1, 0, 0, 0, 0), (0, 1, 0, 0, 0))
+    with pytest.raises(DegenerateReductionError, match="characteristic 2"):
+        singular_locus_check(data, 2)
+    with pytest.raises(DegenerateReductionError, match="characteristic 2"):
+        chart_smoothness_check(data, 2)
