@@ -92,30 +92,20 @@ class DegenerationTerm:
 
     m: int
     x1_insertions: tuple[int, ...]  # indices of basis classes sent to the quadric side
-    beta1: int | None = None
-    l: int | None = None
-    mu: tuple[int, ...] = ()
-    delta_degrees: tuple[int, ...] = ()
-    immediate_verdict: Verdict | None = None
+    beta1: int
+    l: int
+    mu: tuple[int, ...]
+    delta_degrees: tuple[int, ...]
 
     @property
     def n1(self) -> int:
         return len(self.x1_insertions)
 
-    @property
-    def n2(self) -> int:
-        return self.m + 3 - self.n1
 
-    @property
-    def beta2(self) -> int | None:
-        return None if self.beta1 is None else self.m // 2 - self.beta1
-
-
-def degree_budget(term: DegenerationTerm, m: int | None = None) -> int:
+def degree_budget(term: DegenerationTerm) -> int:
     """Cohomological degree carried by the quadric-side insertions, in
     half-degree units: the divisor classes plus m/2 per interior marking."""
-    m = term.m if m is None else m
-    return sum(term.delta_degrees) + term.n1 * (m // 2)
+    return sum(term.delta_degrees) + term.n1 * (term.m // 2)
 
 
 def _partitions(total: int, parts: int):
@@ -140,48 +130,33 @@ def _partitions(total: int, parts: int):
     yield from rec(total, parts, total)
 
 
-def enumerate_terms(m: int, filter_insertions: bool = True) -> list[DegenerationTerm]:
-    """Exhaustive candidate list.
+def live_insertions(m: int) -> tuple[int, ...]:
+    """The basis classes with nonzero quadric-side restriction.  A subset of
+    insertions holding any other class has an identically zero factor."""
+    return tuple(i for i in range(1, m + 4) if any(x1_restriction(i, m)))
 
-    Insertion assignments run over all subsets of the m+3 basis classes.
-    An assignment sending any class with zero quadric-side restriction is
-    emitted at once with its verdict and no curve data, since its factor
-    is identically zero; with ``filter_insertions`` off those assignments
-    expand like the rest, which is only useful for showing the filter is
-    load-bearing.
+
+def enumerate_terms(m: int):
+    """Iterator over the candidate terms with every insertion live.
+
+    Insertion assignments run over the subsets of ``live_insertions(m)``,
+    by size and then in ``combinations`` order, and each expands into all
+    of its curve data.  The 2^{m+3} - 2^{len(live)} assignments holding a
+    dead class are never built; ``main_correlator_report`` counts them.
     """
     if m % 2 or m < 2:
         raise ValueError("dimension must be even and at least 2")
-    terms: list[DegenerationTerm] = []
-    indices = range(1, m + 4)
-    for n1 in range(m + 4):
-        for subset in combinations(indices, n1):
-            dead = [i for i in subset if not any(x1_restriction(i, m))]
-            if dead and filter_insertions:
-                terms.append(
-                    DegenerationTerm(
-                        m,
-                        subset,
-                        immediate_verdict=Verdict(
-                            True,
-                            REASON_ZERO_INSERTION,
-                            f"classes {dead} restrict to zero on the quadric side",
-                        ),
-                    )
-                )
-                continue
+    return _expand(m, live_insertions(m))
+
+
+def _expand(m: int, live: tuple[int, ...]):
+    for n1 in range(len(live) + 1):
+        for subset in combinations(live, n1):
             for beta1 in range(m // 2 + 1):
                 for l in range(beta1 + 1):
                     for mu in _partitions(beta1, l):
-                        for deltas in combinations_with_replacement(
-                            range(1, m), l
-                        ):
-                            terms.append(
-                                DegenerationTerm(
-                                    m, subset, beta1, l, mu, deltas
-                                )
-                            )
-    return terms
+                        for deltas in combinations_with_replacement(range(1, m), l):
+                            yield DegenerationTerm(m, subset, beta1, l, mu, deltas)
 
 
 def l_bound(n1: int, m: int) -> int | None:
@@ -205,20 +180,16 @@ def screen_results(term: DegenerationTerm) -> tuple[bool | None, bool]:
     return passes_bound, vd == degree_budget(term)
 
 
-def vanishing_check(term: DegenerationTerm, m: int | None = None) -> Verdict:
+def vanishing_check(term: DegenerationTerm) -> Verdict:
     """First applicable vanishing reason, or a surviving verdict.
 
-    Order: the insertion filter (already attached at enumeration), then
-    stability of the quadric-side configuration, then the tangency bound,
-    then the exact dimension equation.  Degenerate configurations with no
-    curve class and fewer than three special points are flagged on their
-    own: for m = 4 the one-interior-marking case actually satisfies the
+    Order: stability of the quadric-side configuration, then the tangency
+    bound, then the exact dimension equation; the insertion filter acts
+    before any term is built.  Degenerate configurations with no curve
+    class and fewer than three special points are flagged on their own:
+    for m = 4 the one-interior-marking case actually satisfies the
     dimension equation, so stability is what kills it.
     """
-    if m is not None and m != term.m:
-        raise ValueError("term was enumerated for a different dimension")
-    if term.immediate_verdict is not None:
-        return term.immediate_verdict
     passes_bound, dim_ok = screen_results(term)
     if term.beta1 == 0 and term.n1 + term.l < 3:
         return Verdict(
@@ -241,8 +212,6 @@ def screens_agree(terms) -> bool:
     """No term rejected by the tangency bound satisfies the dimension
     equation; cross-validates the inequality chain against brute force."""
     for term in terms:
-        if term.immediate_verdict is not None:
-            continue
         passes_bound, dim_ok = screen_results(term)
         if passes_bound is False and dim_ok:
             return False
@@ -251,13 +220,20 @@ def screens_agree(terms) -> bool:
 
 def main_correlator_report(m: int) -> dict:
     """Verdict census for the full enumeration and the resulting claim on
-    the distinguished correlator."""
-    if m % 2 or m < 2:
-        raise ValueError("dimension must be even and at least 2")
+    the distinguished correlator.
+
+    The insertion subsets holding a dead class are counted in closed form;
+    the terms of the live subsets stream through the screens twice, once
+    for the verdicts and once for their cross-check, and only survivors
+    are kept.
+    """
     terms = enumerate_terms(m)
-    census: dict[str, int] = {}
+    dead = 2 ** (m + 3) - 2 ** len(live_insertions(m))
+    census = {REASON_ZERO_INSERTION: dead} if dead else {}
+    total = dead
     survivors = []
     for term in terms:
+        total += 1
         verdict = vanishing_check(term)
         if verdict.vanishes:
             census[verdict.reason] = census.get(verdict.reason, 0) + 1
@@ -267,7 +243,7 @@ def main_correlator_report(m: int) -> dict:
     report = {
         "m": m,
         "curve_class": m // 2,
-        "total_terms": len(terms),
+        "total_terms": total,
         "verdict_census": dict(sorted(census.items())),
         "surviving_terms": [
             {
@@ -280,7 +256,7 @@ def main_correlator_report(m: int) -> dict:
             }
             for t in survivors
         ],
-        "screens_consistent": screens_agree(terms),
+        "screens_consistent": screens_agree(enumerate_terms(m)),
         "notes": list(TERM_NOTES),
     }
     if m >= 4:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -151,3 +152,22 @@ def test_text_report_has_no_python_reprs(capsys):
     assert code == EXIT_OK
     assert "Fraction(" not in out
     assert "pass determinant=1, expected=1" in out
+
+
+# SHA-256 of `degeneration --m M --format json` with the default seed; the
+# census report must stay byte-identical across rewrites of the enumeration
+DEGENERATION_JSON_SHA256 = {
+    2: "0f01a44e4c65386324b23b954de58b679596e5883ba5dcfbf5d04acc474a22f5",
+    4: "88b196b04efa291bf67101840bad9ff16e1c51b84fe042c6cde38c84d72c5d39",
+    6: "3cc641c839cf4b9489a4ec5316ef2a57271a4fc5dce2521cdb59cf8b25b625e9",
+    8: "e87164e944b967cbbb83a047bb4bfd51545608c1f4b74c7b412fe5f16e273155",
+    10: "7240a69f55ab1fba92b8c888af6e52b54ca041acf3ddb72e8c4cc7be621215f9",
+    12: "b01076f6d0c9a7db76f44ff72c8be233a8c0de1d5e1a682cca348af930bf74d6",
+}
+
+
+def test_degeneration_json_matches_golden_digests(capsys):
+    for m, digest in DEGENERATION_JSON_SHA256.items():
+        code, out, _ = run_cli(capsys, "degeneration", "--m", str(m), "--format", "json")
+        assert code in (EXIT_OK, EXIT_INCONCLUSIVE)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, m

@@ -1,5 +1,8 @@
 import random
+import time
+from itertools import islice
 
+import gwcount_reference
 import pytest
 
 from twoquadrics.gwcount import (
@@ -12,6 +15,7 @@ from twoquadrics.gwcount import (
     degree_budget,
     enumerate_terms,
     l_bound,
+    live_insertions,
     main_correlator_report,
     quadric_component_geometry,
     screen_results,
@@ -82,13 +86,9 @@ def test_partitions_helper():
 
 
 def test_enumeration_census_dimension_four():
-    terms = enumerate_terms(4)
-    assert len(terms) == 152
-    census = {}
-    for t in terms:
-        v = vanishing_check(t)
-        census[v.reason] = census.get(v.reason, 0) + 1
-    assert census == {
+    report = main_correlator_report(4)
+    assert report["total_terms"] == 152
+    assert report["verdict_census"] == {
         REASON_ZERO_INSERTION: 126,
         REASON_L_BOUND: 24,
         REASON_UNSTABLE: 2,
@@ -96,17 +96,21 @@ def test_enumeration_census_dimension_four():
 
 
 def test_high_insertion_counts_die_at_enumeration():
-    for t in enumerate_terms(4):
-        if t.n1 >= 2:
-            assert t.immediate_verdict is not None
-            assert t.immediate_verdict.reason == REASON_ZERO_INSERTION
+    # only e_{m+2} restricts nontrivially, so no subset of two or more
+    # classes is ever expanded; the terms come from the sizes 0 and 1
+    assert {t.n1 for t in enumerate_terms(4)} == {0, 1}
+    high = sum(1 for s in gwcount_reference.all_subsets(4) if len(s) >= 2)
+    dead = main_correlator_report(4)["verdict_census"][REASON_ZERO_INSERTION]
+    assert high == 120 and dead >= high
 
 
 def test_wrong_single_insertion_dies():
-    terms = enumerate_terms(4)
-    wrong = [t for t in terms if t.x1_insertions == (1,)]
-    assert wrong and all(
-        vanishing_check(t).reason == REASON_ZERO_INSERTION for t in wrong
+    assert 1 not in live_insertions(4)
+    assert not any(1 in t.x1_insertions for t in enumerate_terms(4))
+    assert gwcount_reference.dead_classes((1,), 4) == [1]
+    census = main_correlator_report(4)["verdict_census"]
+    assert census[REASON_ZERO_INSERTION] == sum(
+        1 for s in gwcount_reference.all_subsets(4) if gwcount_reference.dead_classes(s, 4)
     )
 
 
@@ -192,8 +196,12 @@ def test_odd_dimension_rejected():
 
 
 def test_insertion_filter_is_load_bearing():
-    filtered = enumerate_terms(4)
-    unfiltered = enumerate_terms(4, filter_insertions=False)
+    filtered = list(enumerate_terms(4))
+    unfiltered = [
+        t
+        for s in gwcount_reference.all_subsets(4)
+        for t in gwcount_reference.curve_data(4, s)
+    ]
     assert len(unfiltered) > len(filtered)
     survivors = [t for t in unfiltered if not vanishing_check(t).vanishes]
     # the dimension and tangency screens alone cannot close the argument:
@@ -209,3 +217,26 @@ def test_report_notes_present():
     report = main_correlator_report(4)
     assert any("half-degrees" in note for note in report["notes"])
     assert any("never evaluated" in note for note in report["notes"])
+
+
+def test_streamed_report_equals_the_exhaustive_reference():
+    for m in (2, 4, 6, 8, 10, 12):
+        assert main_correlator_report(m) == gwcount_reference.main_correlator_report(m), m
+
+
+def test_dead_subset_count_matches_per_subset_restriction():
+    for m in (2, 4, 6, 8, 10, 12):
+        counted = sum(
+            1 for s in gwcount_reference.all_subsets(m) if gwcount_reference.dead_classes(s, m)
+        )
+        assert 2 ** (m + 3) - 2 ** len(live_insertions(m)) == counted, m
+    assert live_insertions(4) == (6,)
+
+
+def test_enumeration_streams():
+    start = time.monotonic()
+    terms = enumerate_terms(40)
+    assert iter(terms) is terms
+    first = list(islice(terms, 10))
+    assert time.monotonic() - start < 1.0
+    assert len(first) == 10 and first[0].n1 == 0 and first[0].beta1 == 0
