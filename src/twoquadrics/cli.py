@@ -431,10 +431,7 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         names = SECTIONS if args.section == "full" else (args.section,)
         sections = [_RUNNERS[name](cfg) for name in names]
-    except _UsageError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except smoothcheck.DegenerateReductionError as exc:
+    except (_UsageError, smoothcheck.DegenerateReductionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

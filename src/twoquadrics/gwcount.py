@@ -33,57 +33,9 @@ TERM_NOTES = (
 
 
 @dataclass(frozen=True)
-class RelativeGeometry:
-    """Numerical data of a relative target: complex dimension, first-Chern
-    pairing per unit curve class, and divisor pairing per unit curve
-    class."""
-
-    dim: int
-    c1_coeff: int
-    divisor_deg: int
-
-
-def quadric_component_geometry(m: int) -> RelativeGeometry:
-    """The quadric piece of the special fiber: c1 pairs to m per unit
-    curve class and the divisor to 1."""
-    return RelativeGeometry(dim=m, c1_coeff=m, divisor_deg=1)
-
-
-@dataclass(frozen=True)
-class RelativeProblem:
-    """Genus-zero relative counting data: interior markings, divisor
-    markings, curve class, tangency multiplicities."""
-
-    n: int
-    l: int
-    beta: int
-    mu: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.mu) != self.l:
-            raise ValueError("need one tangency multiplicity per divisor marking")
-        if any(x < 1 for x in self.mu):
-            raise ValueError("tangency multiplicities are positive")
-        if sum(self.mu) != self.beta:
-            raise ValueError("tangency multiplicities must sum to the curve class")
-
-
-def virdim_relative(problem: RelativeProblem, geom: RelativeGeometry) -> int:
-    """Virtual dimension of the genus-zero relative moduli problem."""
-    return (
-        geom.dim
-        - 3
-        + (geom.c1_coeff - geom.divisor_deg) * problem.beta
-        + problem.n
-        + problem.l
-    )
-
-
-@dataclass(frozen=True)
 class Verdict:
     vanishes: bool
     reason: str | None
-    detail: str
 
 
 @dataclass(frozen=True)
@@ -172,11 +124,11 @@ def l_bound(n1: int, m: int) -> int | None:
 def screen_results(term: DegenerationTerm) -> tuple[bool | None, bool]:
     """Evaluate both screens independently: (passes the tangency bound or
     None when no bound applies, satisfies the exact dimension equation)."""
-    m = term.m
-    bound = l_bound(term.n1, m)
+    m, n1 = term.m, term.n1
+    bound = l_bound(n1, m)
     passes_bound = None if bound is None else term.l <= bound
-    problem = RelativeProblem(term.n1, term.l, term.beta1, term.mu)
-    vd = virdim_relative(problem, quadric_component_geometry(m))
+    # relative virdim dim - 3 + (c1 - D).beta1 + n1 + l with dim m, c1 = m, D.beta = beta
+    vd = m - 3 + (m - 1) * term.beta1 + n1 + term.l
     return passes_bound, vd == degree_budget(term)
 
 
@@ -192,20 +144,12 @@ def vanishing_check(term: DegenerationTerm) -> Verdict:
     """
     passes_bound, dim_ok = screen_results(term)
     if term.beta1 == 0 and term.n1 + term.l < 3:
-        return Verdict(
-            True,
-            REASON_UNSTABLE,
-            f"degree zero with {term.n1 + term.l} special points",
-        )
+        return Verdict(True, REASON_UNSTABLE)
     if passes_bound is False:
-        return Verdict(
-            True,
-            REASON_L_BOUND,
-            f"l={term.l} exceeds the bound {l_bound(term.n1, term.m)}",
-        )
+        return Verdict(True, REASON_L_BOUND)
     if not dim_ok:
-        return Verdict(True, REASON_DIMENSION, "virtual dimension misses the degree budget")
-    return Verdict(False, None, "survives every screen")
+        return Verdict(True, REASON_DIMENSION)
+    return Verdict(False, None)
 
 
 def screens_agree(terms) -> bool:

@@ -6,21 +6,89 @@ classes is restricted to the quadric side.  A subset holding a class that
 restricts to zero becomes one dead entry with its verdict; every other
 subset expands into all of its curve data.  The report is built from the
 whole list and must equal the streamed one.
+
+The dimension screen here goes through the general genus-zero relative
+virtual dimension of a target with given dimension, c1 pairing and divisor
+pairing, with the tangency multiplicities of every term validated, rather
+than through the closed form the census uses for the quadric piece.  The
+verdicts apply the census's three screens in its order (stability, tangency
+bound, dimension) to that reference screen, so the reference report shares
+no screening code with the streamed one.
 """
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 from twoquadrics.gwcount import (
+    REASON_DIMENSION,
+    REASON_L_BOUND,
+    REASON_UNSTABLE,
     REASON_ZERO_INSERTION,
     TERM_NOTES,
     DegenerationTerm,
     Verdict,
     _partitions,
-    screen_results,
-    vanishing_check,
+    degree_budget,
+    l_bound,
 )
 from twoquadrics.specialfiber import x1_restriction
+
+
+@dataclass(frozen=True)
+class RelativeGeometry:
+    """Numerical data of a relative target: complex dimension, first-Chern
+    pairing per unit curve class, and divisor pairing per unit curve
+    class."""
+
+    dim: int
+    c1_coeff: int
+    divisor_deg: int
+
+
+def quadric_component_geometry(m: int) -> RelativeGeometry:
+    """The quadric piece of the special fiber: c1 pairs to m per unit
+    curve class and the divisor to 1."""
+    return RelativeGeometry(dim=m, c1_coeff=m, divisor_deg=1)
+
+
+@dataclass(frozen=True)
+class RelativeProblem:
+    """Genus-zero relative counting data: interior markings, divisor
+    markings, curve class, tangency multiplicities."""
+
+    n: int
+    l: int
+    beta: int
+    mu: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.mu) != self.l:
+            raise ValueError("need one tangency multiplicity per divisor marking")
+        if any(x < 1 for x in self.mu):
+            raise ValueError("tangency multiplicities are positive")
+        if sum(self.mu) != self.beta:
+            raise ValueError("tangency multiplicities must sum to the curve class")
+
+
+def virdim_relative(problem: RelativeProblem, geom: RelativeGeometry) -> int:
+    """Virtual dimension of the genus-zero relative moduli problem."""
+    return (
+        geom.dim
+        - 3
+        + (geom.c1_coeff - geom.divisor_deg) * problem.beta
+        + problem.n
+        + problem.l
+    )
+
+
+def screen_results(term: DegenerationTerm) -> tuple[bool | None, bool]:
+    """Both screens of one term, the dimension one through a validated
+    ``RelativeProblem`` on the quadric piece's geometry."""
+    bound = l_bound(term.n1, term.m)
+    passes_bound = None if bound is None else term.l <= bound
+    problem = RelativeProblem(term.n1, term.l, term.beta1, term.mu)
+    vd = virdim_relative(problem, quadric_component_geometry(term.m))
+    return passes_bound, vd == degree_budget(term)
 
 
 @dataclass(frozen=True)
@@ -61,39 +129,39 @@ def enumerate_terms(m: int) -> list:
         raise ValueError("dimension must be even and at least 2")
     terms = []
     for subset in all_subsets(m):
-        dead = dead_classes(subset, m)
-        if dead:
-            terms.append(
-                DeadSubset(
-                    m,
-                    subset,
-                    Verdict(
-                        True,
-                        REASON_ZERO_INSERTION,
-                        f"classes {dead} restrict to zero on the quadric side",
-                    ),
-                )
-            )
+        if dead_classes(subset, m):
+            terms.append(DeadSubset(m, subset, Verdict(True, REASON_ZERO_INSERTION)))
         else:
             terms.extend(curve_data(m, subset))
     return terms
 
 
-def verdict(term) -> Verdict:
-    return term.verdict if isinstance(term, DeadSubset) else vanishing_check(term)
+def verdict(term: DegenerationTerm, passes_bound: bool | None, dim_ok: bool) -> Verdict:
+    """Stability first, then the tangency bound, then the dimension."""
+    if term.beta1 == 0 and term.n1 + term.l < 3:
+        return Verdict(True, REASON_UNSTABLE)
+    if passes_bound is False:
+        return Verdict(True, REASON_L_BOUND)
+    if not dim_ok:
+        return Verdict(True, REASON_DIMENSION)
+    return Verdict(False, None)
 
 
 def main_correlator_report(m: int) -> dict:
     terms = enumerate_terms(m)
     census: dict[str, int] = {}
     survivors = []
+    screened = []
     for term in terms:
-        v = verdict(term)
+        if isinstance(term, DeadSubset):
+            v = term.verdict
+        else:
+            screened.append(screen_results(term))
+            v = verdict(term, *screened[-1])
         if v.vanishes:
             census[v.reason] = census.get(v.reason, 0) + 1
         else:
             survivors.append(term)
-    screened = [screen_results(t) for t in terms if isinstance(t, DegenerationTerm)]
     all_vanish = not survivors
     return {
         "m": m,

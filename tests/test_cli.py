@@ -163,6 +163,7 @@ DEGENERATION_JSON_SHA256 = {
     8: "e87164e944b967cbbb83a047bb4bfd51545608c1f4b74c7b412fe5f16e273155",
     10: "7240a69f55ab1fba92b8c888af6e52b54ca041acf3ddb72e8c4cc7be621215f9",
     12: "b01076f6d0c9a7db76f44ff72c8be233a8c0de1d5e1a682cca348af930bf74d6",
+    14: "9beccf885b5ebb30c9160f62ca553f6747e50793695cf239a37fde0cabbabf13",
 }
 
 

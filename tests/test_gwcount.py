@@ -4,24 +4,22 @@ from itertools import islice
 
 import gwcount_reference
 import pytest
+from gwcount_reference import RelativeProblem, quadric_component_geometry, virdim_relative
 
 from twoquadrics.gwcount import (
     REASON_L_BOUND,
     REASON_UNSTABLE,
     REASON_ZERO_INSERTION,
     DegenerationTerm,
-    RelativeProblem,
     _partitions,
     degree_budget,
     enumerate_terms,
     l_bound,
     live_insertions,
     main_correlator_report,
-    quadric_component_geometry,
     screen_results,
     screens_agree,
     vanishing_check,
-    virdim_relative,
 )
 
 
@@ -240,3 +238,28 @@ def test_enumeration_streams():
     first = list(islice(terms, 10))
     assert time.monotonic() - start < 1.0
     assert len(first) == 10 and first[0].n1 == 0 and first[0].beta1 == 0
+
+
+def test_closed_form_screen_equals_the_reference_screen():
+    for m in (2, 4, 6, 8, 10, 12):
+        terms = [
+            t for t in gwcount_reference.enumerate_terms(m) if isinstance(t, DegenerationTerm)
+        ]
+        if m <= 6:
+            # every subset expanded, so that n1 >= 2, where no tangency
+            # bound applies, is screened too
+            terms += [
+                t
+                for s in gwcount_reference.all_subsets(m)
+                if gwcount_reference.dead_classes(s, m)
+                for t in gwcount_reference.curve_data(m, s)
+            ]
+        assert terms
+        for t in terms:
+            assert screen_results(t) == gwcount_reference.screen_results(t), t
+
+
+def test_reference_screen_validates_every_term():
+    bad = DegenerationTerm(4, (), 2, 1, (1,), (1,))  # multiplicities sum to 1, not 2
+    with pytest.raises(ValueError):
+        gwcount_reference.screen_results(bad)

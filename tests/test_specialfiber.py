@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,28 @@ def test_restriction_images():
 def test_restriction_is_pairing_preserving():
     for m in (4, 6, 8):
         assert restriction_map(m).is_pairing_preserving()
+
+
+def _altered(rmap, edits):
+    rows = [list(row) for row in rmap.matrix]
+    for (i, j), value in edits.items():
+        rows[i][j] = GaussRational.of(value)
+    return replace(rmap, matrix=tuple(tuple(row) for row in rows))
+
+
+def test_pairing_check_rejects_wrong_restrictions():
+    for m in (4, 6, 10):
+        rmap = restriction_map(m)
+        # beta (column 2) sent to the -1 class e_1 instead of e_{m+2}
+        beta_to_e1 = _altered(rmap, {(m + 2, 2): 0, (1, 2): 1})
+        assert not beta_to_e1.is_pairing_preserving()
+        # z_1 (column 4) sent to 2 sqrt(-1) e_1, so it squares to -4
+        doubled_z = _altered(rmap, {(1, 4): IMAG_UNIT * 2})
+        assert not doubled_z.is_pairing_preserving()
+        # theta sent to (3 e_{m+2} + 4 e_{m+3}) / 5 still squares to 1, but
+        # now pairs to 3/5 with beta: only an off-diagonal entry is wrong
+        tilted = _altered(rmap, {(m + 2, 3): Fraction(3, 5), (m + 3, 3): Fraction(4, 5)})
+        assert not tilted.is_pairing_preserving()
 
 
 def test_restriction_kernel_and_rank():
