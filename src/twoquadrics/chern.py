@@ -31,10 +31,6 @@ def series(cap: int, coeffs) -> TruncSeries:
     return TruncSeries(cap, tuple(cs))
 
 
-def series_one(cap: int) -> TruncSeries:
-    return series(cap, [1])
-
-
 def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     """Cauchy product truncated at the shared cap."""
     if a.cap != b.cap:

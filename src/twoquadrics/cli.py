@@ -3,8 +3,9 @@ emit a deterministic text or JSON report, and exit with a CI-friendly
 status code.
 
 Exit codes: 0 all checks pass, 2 a reproduced statement failed, 3 the
-run is inconclusive by design (the surface case of the enumeration),
-4 configuration error.
+run is inconclusive by design (the surface case of the enumeration, or a
+smoothness run whose every prime has colliding weights), 4 configuration
+error.
 """
 
 from __future__ import annotations
@@ -37,8 +38,10 @@ def _claim(claim_id: str, ok: bool, **payload) -> dict:
 
 
 def _section(name: str, claims: list[dict], **fields) -> dict:
-    """A section report: its fields, its claims, and ok when all pass."""
-    return {"name": name, **fields, "claims": claims, "ok": all(c["ok"] for c in claims)}
+    """A section report: its fields, its claims, and ok when every claim
+    that counts as evidence passes; degenerate claims do not count."""
+    ok = all(c["ok"] for c in claims if not c.get("degenerate"))
+    return {"name": name, **fields, "claims": claims, "ok": ok}
 
 
 def _fmt_gauss(value) -> str:
@@ -219,11 +222,16 @@ def run_smoothness(cfg: dict) -> dict:
         charts = smoothcheck.chart_smoothness_check(
             data, p, allow_lambda_collisions=True, budget=cfg["budget"]
         )
+        # weights that collide mod p put the reduction outside the
+        # construction: its claims are reported but are not evidence
+        collisions = locus["lambda_collisions"]
+        label = {"degenerate": True, "lambda_collisions": collisions} if collisions else {}
         claims.append(
             _claim(
                 f"singular-locus-equals-base-locus-mod-{p}",
                 locus["ok"],
                 discrepancies=len(locus["t_zero"]["discrepancies"]),
+                **label,
             )
         )
         claims.append(
@@ -231,6 +239,7 @@ def run_smoothness(cfg: dict) -> dict:
                 f"blowup-charts-have-uniform-rank-3-mod-{p}",
                 not charts["chart_rank_failures"],
                 chart_points=charts["chart_points"],
+                **label,
             )
         )
         claims.append(
@@ -238,9 +247,12 @@ def run_smoothness(cfg: dict) -> dict:
                 f"divisor-and-center-are-smooth-mod-{p}",
                 not charts["divisor_rank_failures"]
                 and not charts["center_rank_failures"],
+                **label,
             )
         )
         per_prime.append({"prime": p, "locus": locus, "charts": charts})
+    # when every prime collides, the scans give no evidence at all
+    verdict = {"inconclusive": True} if all(c.get("degenerate") for c in claims) else {}
     return _section(
         "smoothness",
         claims,
@@ -250,6 +262,7 @@ def run_smoothness(cfg: dict) -> dict:
             "g2": list(data.g2),
         },
         runs=per_prime,
+        **verdict,
     )
 
 
@@ -408,8 +421,10 @@ def _render_text(report: dict) -> str:
             lines.append(f"[{name}] {key}: {_prose(value)}")
         for claim in section["claims"]:
             status = "pass" if claim["ok"] else "FAIL"
+            if claim.get("degenerate"):
+                status = f"degenerate, not counted (scan: {status.lower()})"
             extras = {
-                k: v for k, v in claim.items() if k not in ("claim", "ok")
+                k: v for k, v in claim.items() if k not in ("claim", "ok", "degenerate")
             }
             suffix = f" {_prose(extras)}" if extras else ""
             lines.append(f"[{name}] {claim['claim']}: {status}{suffix}")

@@ -1,7 +1,9 @@
 """Exact scalar arithmetic and exact linear algebra over Q, Q(i), F_p and Z.
 
 Scalars are plain ``int`` and ``fractions.Fraction``; Gaussian rationals get
-a small dataclass.  Matrices are dense row-major lists of lists.  All pivot
+a small dataclass.  Matrices are row-major lists of lists holding every
+entry, zeros included; ``mat_mul`` skips the zero entries, so a product
+with a sparse factor costs about one step per nonzero pair.  All pivot
 choices are the lowest admissible index, so every routine is deterministic
 and its output reproducible bit for bit.
 """
@@ -96,10 +98,29 @@ def transpose(a):
 
 
 def mat_mul(a, b):
+    """Exact product ``a * b`` that skips zero entries of either factor.
+
+    Each nonzero ``a[i][k]`` is multiplied only into the nonzero entries of
+    row k of ``b``, so the cost is the number of such nonzero pairs rather
+    than rows * inner * columns.  Every output entry starts from a zero of
+    the product's type, ``0 * a[0][0] * b[0][0]``: an all-zero entry of a
+    Fraction product is ``Fraction(0)``, of a GaussRational product a zero
+    GaussRational, of an int product ``0``, as the dense sum gives them.
+    """
     if len(a[0]) != len(b):
         raise ValueError("inner dimensions do not match")
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    zero = 0 * a[0][0] * b[0][0]
+    cols = len(b[0])
+    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [zero] * cols
+        for x, b_row in zip(row, b_nonzero):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def mat_vec(a, v):

@@ -12,13 +12,17 @@ at most m+1 and vanish identically.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 
 @dataclass(frozen=True)
 class LambdaConfig:
+    """Pairwise distinct nodes, with their interpolation weights computed
+    once here for every power sum and plane check on the config."""
+
     lambdas: tuple[Fraction, ...]
+    weights: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = tuple(Fraction(v) for v in self.lambdas)
@@ -27,6 +31,7 @@ class LambdaConfig:
             raise ValueError("need at least two nodes")
         if len(set(vals)) != len(vals):
             raise ValueError("nodes must be pairwise distinct")
+        object.__setattr__(self, "weights", lagrange_weights(self))
 
     @property
     def m(self) -> int:
@@ -52,8 +57,7 @@ def lagrange_weights(cfg: LambdaConfig) -> tuple[Fraction, ...]:
 
 def power_sum(cfg: LambdaConfig, p: int) -> Fraction:
     """sum_i lambda_i^p * c_i; zero through degree m+1 and one at m+2."""
-    weights = lagrange_weights(cfg)
-    return sum((li**p * c for li, c in zip(cfg.lambdas, weights)), Fraction(0))
+    return sum((li**p * c for li, c in zip(cfg.lambdas, cfg.weights)), Fraction(0))
 
 
 def verify_points_on_quadrics(cfg: LambdaConfig) -> bool:
@@ -85,7 +89,6 @@ def verify_plane_in_x(cfg: LambdaConfig, trials: int = 100, seed: int = 0) -> bo
     if cfg.m < 0 or cfg.m % 2:
         raise ValueError("even dimension required")
     rng = random.Random(seed)
-    weights = lagrange_weights(cfg)
     degree = cfg.m // 2
     for _ in range(trials):
         q = [
@@ -94,7 +97,7 @@ def verify_plane_in_x(cfg: LambdaConfig, trials: int = 100, seed: int = 0) -> bo
         ]
         first = Fraction(0)
         second = Fraction(0)
-        for li, c in zip(cfg.lambdas, weights):
+        for li, c in zip(cfg.lambdas, cfg.weights):
             sq = _eval_poly(q, li) ** 2
             first += c * sq
             second += c * li * sq

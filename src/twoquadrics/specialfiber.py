@@ -40,14 +40,6 @@ class ComponentTables:
     theta_self: int = 1
     z_self: int = 1  # z_i are normalized to self-intersection +1
 
-    @property
-    def center_prim_rank(self) -> int:
-        return self.m + 1
-
-    @property
-    def component_prim_rank(self) -> int:
-        return 1
-
 
 def component_tables(m: int) -> ComponentTables:
     if m % 2 or m < 4:
@@ -211,15 +203,6 @@ class RestrictionMap:
 
     def matrix_rows(self) -> list[list[GaussRational]]:
         return [list(row) for row in self.matrix]
-
-    def apply(self, kernel_coords) -> list[GaussRational]:
-        coords = [GaussRational.of(c) for c in kernel_coords]
-        if len(coords) != len(self.source_labels):
-            raise ValueError("expected one coordinate per kernel basis class")
-        return [
-            sum((row[j] * coords[j] for j in range(len(coords))), GaussRational.of(0))
-            for row in self.matrix
-        ]
 
     def kernel(self) -> list[list[GaussRational]]:
         return kernel_basis(self.matrix_rows())

@@ -29,7 +29,8 @@ def test_euler_section(capsys):
 
 
 def test_full_run_dimension_four(capsys):
-    code, out, _ = run_cli(capsys, "full", "--m", "4", "--primes", "5")
+    # 7 is the smallest prime at which the weights 0..6 stay distinct
+    code, out, _ = run_cli(capsys, "full", "--m", "4", "--primes", "7")
     assert code == EXIT_OK
     assert "overall: pass" in out
     assert out.rstrip().endswith("correlator = 0")
@@ -107,7 +108,7 @@ def test_json_output_is_deterministic(tmp_path, capsys):
             "--m",
             "4",
             "--primes",
-            "5",
+            "7",
             "--seed",
             "3",
             "--format",
@@ -138,6 +139,43 @@ def test_budget_is_checked_before_the_genericity_screen(capsys, monkeypatch):
     assert code == EXIT_CONFIG
     assert "budget" in err
     assert time.monotonic() - start < 5
+
+
+COLLISIONS_MOD_3 = [[0, 3], [0, 6], [1, 4], [2, 5], [3, 6]]  # weights 0..6
+
+
+def test_colliding_weights_are_labelled_degenerate_and_inconclusive(capsys):
+    code, out, _ = run_cli(capsys, "smoothness", "--m", "4", "--primes", "3")
+    assert code == EXIT_INCONCLUSIVE
+    assert "overall: inconclusive" in out
+    assert "overall: pass" not in out
+    assert out.count("mod-3: degenerate, not counted (scan: pass)") == 3
+    code, out, _ = run_cli(capsys, "smoothness", "--m", "4", "--primes", "3", "--format", "json")
+    assert code == EXIT_INCONCLUSIVE
+    section = json.loads(out)["sections"][0]
+    assert section["inconclusive"] is True
+    assert all(c["degenerate"] and c["lambda_collisions"] == COLLISIONS_MOD_3 for c in section["claims"])
+
+
+def test_colliding_prime_is_not_evidence_either_way(capsys, monkeypatch):
+    real = smoothcheck.singular_locus_check
+
+    def failing_at_3(data, p, **kwargs):
+        report = real(data, p, **kwargs)
+        return {**report, "ok": report["ok"] and p != 3}
+
+    monkeypatch.setattr(smoothcheck, "singular_locus_check", failing_at_3)
+    # a failed scan at a colliding prime is no discrepancy
+    code, out, _ = run_cli(capsys, "smoothness", "--m", "4", "--primes", "3")
+    assert code == EXIT_INCONCLUSIVE
+    assert "degenerate, not counted (scan: fail)" in out
+    # a clean prime carries the verdict, and its claims carry no label
+    code, out, _ = run_cli(capsys, "smoothness", "--m", "4", "--primes", "3,7", "--format", "json")
+    assert code == EXIT_OK
+    section = json.loads(out)["sections"][0]
+    assert "inconclusive" not in section
+    for claim in section["claims"]:
+        assert claim.get("degenerate", False) == claim["claim"].endswith("mod-3")
 
 
 def test_sections_report_claims(capsys):
@@ -172,3 +210,29 @@ def test_degeneration_json_matches_golden_digests(capsys):
         code, out, _ = run_cli(capsys, "degeneration", "--m", str(m), "--format", "json")
         assert code in (EXIT_OK, EXIT_INCONCLUSIVE)
         assert hashlib.sha256(out.encode()).hexdigest() == digest, m
+
+
+# SHA-256 of `SECTION --m M --seed 0 --format json` for the exact-algebra
+# sections; rewrites of the linear algebra must keep these reports
+# byte-identical
+ALGEBRA_JSON_SHA256 = {
+    ("euler", 4): "a671309325e32916fbabf99edd0c8e8c09b76bc3bef0abf8da74cba3ff7482b5",
+    ("euler", 12): "fd62c25da4d64350064805e8760f80a2b0134c72e049eea054e2b297b1b8d071",
+    ("euler", 40): "09b8d86743e7c70184cf8e618b96671e9750c94361ca9f86a7a628a936c45122",
+    ("cohomology", 4): "f8724fa8db6b5f4083a68117ce13c33517debd56b4d88cffbcf11bb0ab29ff32",
+    ("cohomology", 12): "056b9d71c572e96fd2d26ba4817dcf4e8c01922e1756cbac983bad32e68b1889",
+    ("cohomology", 40): "f8d084e694309d147a1cde6d0a53943aec571943557bc2059f6ad9842d0b24b0",
+    ("fiber", 4): "b2878c6b3d54c5c7cde14be7980812a6ab8e2e812032e841bf9430ac38c0be25",
+    ("fiber", 12): "44febff8e565d58af7df60f3a8e2823b1e88ea79ab5092d5845fa48c1e86520b",
+    ("fiber", 40): "bb42f74969a137529e59bc2088b83b6575d73eb0ef70091b0fab91fa59487f0d",
+    ("geombasis", 4): "7f4a47f9eb68330615d125985e469ff72f9098c23fa13fd9811c38b7956d6b21",
+    ("geombasis", 12): "1423dc1fc20ba087c7070c29412c8e5a1293edf129ed5c7891c4c2caaf5ccb5b",
+    ("geombasis", 40): "1c1a9a9abc1e35d39b201d81a8d3f4a1d95044be5c00977b5749da51f1a30786",
+}
+
+
+def test_algebra_json_matches_golden_digests(capsys):
+    for (section, m), digest in ALGEBRA_JSON_SHA256.items():
+        code, out, _ = run_cli(capsys, section, "--m", str(m), "--seed", "0", "--format", "json")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (section, m)

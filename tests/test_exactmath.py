@@ -130,6 +130,47 @@ def _minor_gcd(m, k):
     return g
 
 
+def _dense_mat_mul(a, b):
+    """Reference product: the dense row-by-column comprehension."""
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def _random_entry(rng, kind, density):
+    if rng.random() >= density:
+        return {"int": 0, "fraction": Fraction(0), "gauss": GaussRational.of(0)}[kind]
+    if kind == "int":
+        return rng.choice([-3, -2, -1, 1, 2, 5])
+    if kind == "fraction":
+        return Fraction(rng.choice([-3, -1, 1, 2, 7]), rng.randint(1, 5))
+    return GaussRational(Fraction(rng.randint(-3, 3), rng.randint(1, 4)), Fraction(rng.randint(-3, 3)))
+
+
+def test_mat_mul_matches_dense_oracle_in_value_and_type():
+    rng = random.Random(17)
+    kinds = ("int", "fraction", "gauss")
+    shapes = [(1, 6, 1), (6, 1, 5), (1, 1, 1), (4, 7, 3), (8, 8, 8)]
+    for kind_a, kind_b in product(kinds, repeat=2):
+        for rows, inner, cols in shapes:
+            for density in (0.0, 0.2, 1.0):
+                a = [[_random_entry(rng, kind_a, density) for _ in range(inner)] for _ in range(rows)]
+                b = [[_random_entry(rng, kind_b, density) for _ in range(cols)] for _ in range(inner)]
+                got = mat_mul(a, b)
+                want = _dense_mat_mul(a, b)
+                assert got == want, (kind_a, kind_b, rows, inner, cols, density)
+                # the JSON writer prints Fraction(0) as "0" but int 0 as 0
+                assert [[type(x) for x in row] for row in got] == [
+                    [type(x) for x in row] for row in want
+                ], (kind_a, kind_b, rows, inner, cols, density)
+
+
+def test_mat_mul_rejects_mismatched_inner_dimensions():
+    with pytest.raises(ValueError, match="inner dimensions"):
+        mat_mul([[Fraction(1), Fraction(0)]], [[Fraction(1)]])
+    with pytest.raises(ValueError, match="inner dimensions"):
+        mat_mul(identity(3), identity(2))
+
+
 def test_smith_trivial():
     assert smith_normal_form(identity(3))[0] == [1, 1, 1]
     assert smith_normal_form([[2, 0], [0, 4]])[0] == [2, 4]

@@ -39,9 +39,12 @@ def test_component_tables_cross_checked_against_euler():
         assert tables.component_volume == 2
         assert tables.divisor_volume == 2
         assert tables.center_volume == 4
-        # middle ranks against the Euler-characteristic route
-        assert primitive_middle_dim(CIDescriptor(m + 1, (2,))) == tables.component_prim_rank
-        assert primitive_middle_dim(CIDescriptor(m, (2, 2))) == tables.center_prim_rank
+        # middle ranks against the Euler-characteristic route: one primitive
+        # class per quadric piece (beta, theta), m+1 on the center (z_i)
+        labels = fiber_basis_labels(m)
+        assert primitive_middle_dim(CIDescriptor(m + 1, (2,))) == 1
+        assert primitive_middle_dim(CIDescriptor(m, (2, 2))) == m + 1
+        assert sum(lbl.startswith("z") for lbl in labels) == m + 1
         # the divisor is odd-dimensional with one class per even degree
         assert euler_char(CIDescriptor(m + 2, (2, 1, 1))) == m
 
@@ -116,20 +119,30 @@ def test_mixed_component_products_vanish():
             assert fiber_pairing(x, y) == 0
 
 
+def _apply(rmap, kernel_coords):
+    """Image of a class given in the named kernel basis."""
+    coords = [GaussRational.of(c) for c in kernel_coords]
+    assert len(coords) == len(rmap.source_labels)
+    return [
+        sum((row[j] * coords[j] for j in range(len(coords))), GaussRational.of(0))
+        for row in rmap.matrix
+    ]
+
+
 def test_restriction_images():
     m = 4
     rmap = restriction_map(m)
     assert rmap.source_labels == mv_kernel_labels(m)
     # h1+h2 -> omega
-    assert rmap.apply([1, 0, 0, 0, 0, 0, 0, 0, 0]) == [1, 0, 0, 0, 0, 0, 0, 0]
+    assert _apply(rmap, [1, 0, 0, 0, 0, 0, 0, 0, 0]) == [1, 0, 0, 0, 0, 0, 0, 0]
     # the null combination dies
-    assert all(not c for c in rmap.apply([0, 1, 0, 0, 0, 0, 0, 0, 0]))
+    assert all(not c for c in _apply(rmap, [0, 1, 0, 0, 0, 0, 0, 0, 0]))
     # z_1 -> sqrt(-1) e_1
-    image = rmap.apply([0, 0, 0, 0, 1, 0, 0, 0, 0])
+    image = _apply(rmap, [0, 0, 0, 0, 1, 0, 0, 0, 0])
     assert image[1] == IMAG_UNIT and all(not c for i, c in enumerate(image) if i != 1)
     # beta and theta hit the last two classes
-    assert rmap.apply([0, 0, 1, 0, 0, 0, 0, 0, 0])[m + 2] == 1
-    assert rmap.apply([0, 0, 0, 1, 0, 0, 0, 0, 0])[m + 3] == 1
+    assert _apply(rmap, [0, 0, 1, 0, 0, 0, 0, 0, 0])[m + 2] == 1
+    assert _apply(rmap, [0, 0, 0, 1, 0, 0, 0, 0, 0])[m + 3] == 1
 
 
 def test_restriction_is_pairing_preserving():
