@@ -1,62 +1,10 @@
-"""Truncated power series over Q and Euler characteristics of complete
-intersections in projective space via their total Chern class."""
+"""Euler characteristics of complete intersections in projective space
+via their total Chern class, computed in integers."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, prod
-
-
-@dataclass(frozen=True)
-class TruncSeries:
-    """Univariate power series truncated below degree ``cap``."""
-
-    cap: int
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.cap < 1:
-            raise ValueError("cap must be positive")
-        if len(self.coeffs) != self.cap:
-            raise ValueError("coefficient list must have length cap")
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k]
-
-
-def series(cap: int, coeffs) -> TruncSeries:
-    cs = [Fraction(c) for c in coeffs][:cap]
-    cs += [Fraction(0)] * (cap - len(cs))
-    return TruncSeries(cap, tuple(cs))
-
-
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    """Cauchy product truncated at the shared cap."""
-    if a.cap != b.cap:
-        raise ValueError("cap mismatch")
-    out = [Fraction(0)] * a.cap
-    for i, x in enumerate(a.coeffs):
-        if not x:
-            continue
-        for j in range(a.cap - i):
-            if b.coeffs[j]:
-                out[i + j] += x * b.coeffs[j]
-    return TruncSeries(a.cap, tuple(out))
-
-
-def series_inv(a: TruncSeries) -> TruncSeries:
-    """Multiplicative inverse up to the cap; needs a nonzero constant term."""
-    if not a.coeffs[0]:
-        raise ValueError("series with zero constant term has no inverse")
-    inv0 = 1 / a.coeffs[0]
-    out = [inv0] + [Fraction(0)] * (a.cap - 1)
-    for n in range(1, a.cap):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            acc += a.coeffs[k] * out[n - k]
-        out[n] = -acc * inv0
-    return TruncSeries(a.cap, tuple(out))
 
 
 @dataclass(frozen=True)
@@ -78,27 +26,21 @@ class CIDescriptor:
         return self.ambient_dim - len(self.degrees)
 
 
-def total_chern(ci: CIDescriptor, cap: int | None = None) -> TruncSeries:
-    """Total Chern class of the tangent bundle, written in the ambient
-    hyperplane variable: (1+w)^(N+1) / prod_i (1 + d_i w)."""
-    if cap is None:
-        cap = ci.m + 1
-    if cap < ci.m + 1:
-        raise ValueError("cap must be at least m+1")
-    numerator = series(cap, [comb(ci.ambient_dim + 1, k) for k in range(cap)])
-    out = numerator
+def total_chern(ci: CIDescriptor) -> list[int]:
+    """Total Chern class of the tangent bundle up to degree m, written in
+    the ambient hyperplane variable: (1+w)^(N+1) / prod_i (1 + d_i w).
+    Dividing by 1 + d*w is the ascending step c[k] -= d * c[k-1]."""
+    c = [comb(ci.ambient_dim + 1, k) for k in range(ci.m + 1)]
     for d in ci.degrees:
-        out = series_mul(out, series_inv(series(cap, [1, d])))
-    return out
+        for k in range(1, ci.m + 1):
+            c[k] -= d * c[k - 1]
+    return c
 
 
 def euler_char(ci: CIDescriptor) -> int:
     """Topological Euler characteristic: degree times the top Chern
     coefficient of total_chern."""
-    value = total_chern(ci)[ci.m] * prod(ci.degrees)
-    if value.denominator != 1:
-        raise ArithmeticError(f"non-integral Euler characteristic {value}")
-    return int(value)
+    return total_chern(ci)[ci.m] * prod(ci.degrees)
 
 
 def primitive_middle_dim(ci: CIDescriptor) -> int:

@@ -157,7 +157,7 @@ def run_fiber(cfg: dict) -> dict:
         kernel_basis={
             "labels": list(specialfiber.mv_kernel_labels(m)),
             "coordinates": [
-                [_fmt_gauss(c) for c in v.coeffs] for v in basis
+                [str(c) for c in v.coeffs] for v in basis
             ],
             "over": list(specialfiber.fiber_basis_labels(m)),
         },
@@ -477,8 +477,16 @@ def main(argv=None) -> int:
     else:
         rendered = _render_text(report)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(
+                f"configuration error: cannot write --output {args.output}: {reason}",
+                file=sys.stderr,
+            )
+            return EXIT_CONFIG
     else:
         sys.stdout.write(rendered)
 

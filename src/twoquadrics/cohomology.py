@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
-from dataclasses import dataclass
 
 from .exactmath import (
     Mat,
@@ -34,26 +33,6 @@ from .exactmath import (
 )
 
 
-@dataclass(frozen=True)
-class MiddleLattice:
-    m: int
-    labels: tuple[str, ...]
-    gram: tuple[tuple[Fraction, ...], ...]
-
-    def gram_rows(self) -> Mat:
-        return [list(row) for row in self.gram]
-
-
-def _check_dimension(m: int, allow_m2: bool) -> None:
-    if m % 2 or m < 2:
-        raise ValueError("dimension must be even and at least 2")
-    if m == 2 and not allow_m2:
-        raise ValueError(
-            "the pairing table is uncertified in dimension 2; "
-            "pass allow_m2=True to expose it anyway"
-        )
-
-
 def pairing_constants(m: int) -> tuple[Fraction, Fraction]:
     """(diagonal, off-diagonal) pairing of the plane classes; floors are
     taken toward minus infinity."""
@@ -65,10 +44,14 @@ def pairing_constants(m: int) -> tuple[Fraction, Fraction]:
     return diag, off
 
 
-def quadric_pencil_gram(m: int, allow_m2: bool = False) -> MiddleLattice:
+def quadric_pencil_gram(m: int) -> Mat:
     """Full (m+4)-square Gram matrix in the basis omega^{m/2}, zeta_0 ..
     zeta_{m+2}."""
-    _check_dimension(m, allow_m2)
+    if m % 2 or m < 4:
+        raise ValueError(
+            "dimension must be even and at least 4; "
+            "the pairing table is uncertified in dimension 2"
+        )
     diag, off = pairing_constants(m)
     n = m + 4
     gram = [[Fraction(0)] * n for _ in range(n)]
@@ -77,8 +60,7 @@ def quadric_pencil_gram(m: int, allow_m2: bool = False) -> MiddleLattice:
         gram[0][i] = gram[i][0] = Fraction(1)
         for j in range(1, n):
             gram[i][j] = diag if i == j else off
-    labels = ("omega",) + tuple(f"zeta{i}" for i in range(m + 3))
-    return MiddleLattice(m, labels, tuple(tuple(r) for r in gram))
+    return gram
 
 
 def integral_basis_matrix(m: int) -> Mat:
@@ -95,7 +77,7 @@ def integral_basis_matrix(m: int) -> Mat:
 
 
 def integral_gram(m: int) -> Mat:
-    g = quadric_pencil_gram(m).gram_rows()
+    g = quadric_pencil_gram(m)
     c = integral_basis_matrix(m)
     return mat_mul(transpose(c), mat_mul(g, c))
 
@@ -116,7 +98,6 @@ def lattice_index(m: int) -> int:
     """Index of Z<omega^{m/2}> + (integral orthogonal complement of omega)
     inside the full integral lattice, via Smith normal form of the
     inclusion matrix."""
-    _check_dimension(m, allow_m2=False)
     g = integral_gram(m)
     omega = _omega_in_integral_coords(m)
     pair_with_omega = mat_vec(g, [Fraction(x) for x in omega])
@@ -134,8 +115,7 @@ def lattice_index(m: int) -> int:
 def primitive_gram(m: int) -> tuple[Mat, tuple[int, int, int]]:
     """Gram matrix of the omega-orthogonal projections of the plane
     classes, together with its signature."""
-    _check_dimension(m, allow_m2=False)
-    g = quadric_pencil_gram(m).gram_rows()
+    g = quadric_pencil_gram(m)
     n = m + 4
     proj = [[Fraction(0)] * (m + 3) for _ in range(n)]
     for j in range(m + 3):

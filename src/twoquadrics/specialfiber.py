@@ -11,6 +11,8 @@ over the six-block basis.  The intersection pairing descends from the
 component tables with a sign flip on the blow-up block, and the whole
 package restricts to the middle cohomology of the smooth fiber by an
 explicit diagonal matrix with two square-root-of-minus-one strings.
+The glued-fiber classes and their pairing are rational; Gaussian
+rationals enter only with that restriction.
 """
 
 from __future__ import annotations
@@ -58,14 +60,14 @@ def fiber_basis_labels(m: int) -> tuple[str, ...]:
 @dataclass(frozen=True)
 class FiberClass:
     """Element of the direct sum of the two components' middle cohomology,
-    with Gaussian-rational coefficients over the six-block basis."""
+    with rational coefficients over the six-block basis."""
 
     m: int
-    coeffs: tuple[GaussRational, ...]
+    coeffs: tuple[Fraction, ...]
 
     @staticmethod
     def from_coeffs(m: int, coeffs) -> "FiberClass":
-        cs = tuple(GaussRational.of(c) for c in coeffs)
+        cs = tuple(Fraction(c) for c in coeffs)
         if len(cs) != m + 6:
             raise ValueError("expected one coefficient per basis label")
         return FiberClass(m, cs)
@@ -117,14 +119,14 @@ def pairing_diagonal(m: int) -> list[int]:
     ] + [-t.z_self] * (m + 1)  # z_i
 
 
-def fiber_pairing(x: FiberClass, y: FiberClass) -> GaussRational:
+def fiber_pairing(x: FiberClass, y: FiberClass) -> Fraction:
     """Bilinear extension of the component top-intersection table."""
     if x.m != y.m:
         raise ValueError("dimension mismatch")
-    acc = GaussRational.of(0)
+    acc = Fraction(0)
     for xi, yi, d in zip(x.coeffs, y.coeffs, pairing_diagonal(x.m)):
         if xi and yi:
-            acc = acc + xi * yi * d
+            acc += xi * yi * d
     return acc
 
 
@@ -148,12 +150,9 @@ def mv_kernel(m: int) -> list[FiberClass]:
     gamma = gamma_matrix(m)
     computed = kernel_basis(gamma)
     for v in named:
-        image = sum(
-            (g * c.re for g, c in zip(gamma[0], v.coeffs)), Fraction(0)
-        )
-        if image or any(c.im for c in v.coeffs):
+        if sum(g * c for g, c in zip(gamma[0], v.coeffs)):
             raise ArithmeticError("named class does not lie in the kernel")
-    named_rows = [[c.re for c in v.coeffs] for v in named]
+    named_rows = [list(v.coeffs) for v in named]
     if rank(named_rows) != len(named) or len(named) != len(computed):
         raise ArithmeticError("named classes do not span the kernel")
     return named
@@ -162,16 +161,7 @@ def mv_kernel(m: int) -> list[FiberClass]:
 def fiber_gram_on_kernel(m: int) -> Mat:
     """Pairing matrix restricted to the named kernel basis."""
     basis = mv_kernel(m)
-    gram = []
-    for x in basis:
-        row = []
-        for y in basis:
-            val = fiber_pairing(x, y)
-            if val.im:
-                raise ArithmeticError("fiber pairing on the kernel is not real")
-            row.append(val.re)
-        gram.append(row)
-    return gram
+    return [[fiber_pairing(x, y) for y in basis] for x in basis]
 
 
 def x_basis_labels(m: int) -> tuple[str, ...]:

@@ -135,11 +135,9 @@ def total_space(data: PencilData) -> list[Poly]:
 
 
 def singular_locus_check(
-    data: PencilData, p: int, t_samples=None, allow_lambda_collisions: bool = False
+    data: PencilData, p: int, allow_lambda_collisions: bool = False
 ) -> dict:
     collisions = _validate(data, p, allow_lambda_collisions)
-    if t_samples is None:
-        t_samples = list(range(p))
     system = total_space(data)
     base = data.polys()
     scanned = 0
@@ -151,7 +149,7 @@ def singular_locus_check(
         scanned += 1
         if base["f1"].eval_mod(pt, p):
             continue
-        for t in t_samples:
+        for t in range(p):
             full = pt + (t,)
             if system[1].eval_mod(full, p):
                 continue
@@ -182,7 +180,7 @@ def singular_locus_check(
             "sets_equal": not discrepancies,
         },
         "t_nonzero": {
-            "fibers_checked": len([t for t in t_samples if t % p]),
+            "fibers_checked": len([t for t in range(p) if t]),
             "rank_deficient_points": len(nonzero_t_deficient),
             "informational": True,
         },

@@ -73,7 +73,7 @@ def test_criterion_05_mayer_vietoris_kernel_and_gram():
         # m+5 classes: the middle rank of the smooth fiber plus the one
         # class the restriction kills
         ok = ok and len(basis) == m + 5
-        ok = ok and len(kernel_rows := [[c.re for c in v.coeffs] for v in basis]) == rank(
+        ok = ok and len(kernel_rows := [list(v.coeffs) for v in basis]) == rank(
             kernel_rows
         )
         gram = fiber_gram_on_kernel(m)

@@ -8,15 +8,8 @@ from twoquadrics.chern import (
     CIDescriptor,
     euler_char,
     primitive_middle_dim,
-    series,
-    series_inv,
-    series_mul,
     total_chern,
 )
-
-
-def series_one(cap):
-    return series(cap, [1])
 
 
 def _long_division(numerator, denominator, cap):
@@ -33,65 +26,74 @@ def _long_division(numerator, denominator, cap):
     return out
 
 
-def test_series_mul_basic():
-    cap = 3
-    a = series(cap, [1, 1])
-    b = series(cap, [1, -1])
-    assert series_mul(a, b).coeffs == (1, 0, -1)
-    sq = series_mul(series(2, [1, 1]), series(2, [1, 1]))
-    assert sq.coeffs == (1, 2)
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
-def test_series_mul_cap_mismatch():
-    with pytest.raises(ValueError):
-        series_mul(series(2, [1]), series(3, [1]))
+def _chern_oracle(ci):
+    """(1+w)^(N+1) divided by prod_i (1 + d_i w), one long division."""
+    denominator = [1]
+    for d in ci.degrees:
+        denominator = _poly_mul(denominator, [1, d])
+    numerator = [comb(ci.ambient_dim + 1, k) for k in range(ci.ambient_dim + 2)]
+    return _long_division(numerator, denominator, ci.m + 1)
 
 
-def test_series_inv_geometric():
-    inv = series_inv(series(4, [1, 1]))
-    assert inv.coeffs == (1, -1, 1, -1)
-    assert series_inv(series(3, [2])).coeffs == (Fraction(1, 2), 0, 0)
+def _assert_matches_oracle(ci):
+    c = total_chern(ci)
+    assert all(type(x) is int for x in c), ci
+    assert c == _chern_oracle(ci), ci
+    # multiplying back by prod_i (1 + d_i w) gives the numerator
+    for d in ci.degrees:
+        c = _poly_mul(c, [1, d])[: ci.m + 1]
+    assert c == [comb(ci.ambient_dim + 1, k) for k in range(ci.m + 1)], ci
 
 
-def test_series_inv_two_sided_contract():
-    one_plus = series(6, [1, 2])
-    assert series_mul(one_plus, series_inv(one_plus)).coeffs == series_one(6).coeffs
+def test_long_division_oracle():
+    assert _long_division([1], [1, 1], 4) == [1, -1, 1, -1]
+    assert _long_division([1], [1, 4, 4], 5) == [1, -4, 12, -32, 80]
+    assert _long_division([1], [2], 3) == [Fraction(1, 2), 0, 0]
 
 
-def test_series_inv_rejects_zero_constant():
-    with pytest.raises(ValueError):
-        series_inv(series(3, [0, 1]))
-
-
-def test_inverse_square_against_long_division():
-    cap = 5
-    sq = series_mul(series(cap, [1, 2]), series(cap, [1, 2]))
-    inv = series_inv(sq)
-    assert inv.coeffs == (1, -4, 12, -32, 80)
-    assert list(inv.coeffs) == _long_division([1], [1, 4, 4], cap)
-
-
-def test_series_inv_two_sided_random():
-    rng = random.Random(5)
-    for _ in range(200):
-        cap = rng.randint(1, 8)
-        coeffs = [Fraction(rng.randint(1, 9))] + [
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(cap - 1)
-        ]
-        s = series(cap, coeffs)
-        inv = series_inv(s)
-        assert series_mul(s, inv).coeffs == series_one(cap).coeffs
-        assert series_mul(inv, s).coeffs == series_one(cap).coeffs
+def test_total_chern_of_projective_space_is_the_numerator():
+    assert total_chern(CIDescriptor(4, ())) == [comb(5, k) for k in range(5)]
 
 
 def test_total_chern_hyperplane_is_smaller_projective_space():
     ci = CIDescriptor(5, (1,))
-    assert total_chern(ci).coeffs == tuple(comb(5, k) for k in range(5))
+    assert total_chern(ci) == [comb(5, k) for k in range(5)]
 
 
-def test_total_chern_cap_contract():
-    with pytest.raises(ValueError):
-        total_chern(CIDescriptor(6, (2, 2)), cap=3)
+def test_total_chern_hypersurface_tables():
+    # quartic K3 surface: c1 = 0, c2 = 6, chi = 24
+    assert total_chern(CIDescriptor(3, (4,))) == [1, 0, 6]
+    assert euler_char(CIDescriptor(3, (4,))) == 24
+    # quintic threefold: c1 = 0, chi = -200
+    assert total_chern(CIDescriptor(4, (5,)))[1] == 0
+    assert euler_char(CIDescriptor(4, (5,))) == -200
+
+
+def test_total_chern_times_degree_factors_is_the_numerator():
+    for ci in (CIDescriptor(6, (2, 2)), CIDescriptor(9, (3, 1, 5)), CIDescriptor(3, (3,))):
+        _assert_matches_oracle(ci)
+
+
+def test_total_chern_quadric_pairs_against_long_division():
+    for m in range(0, 13):
+        _assert_matches_oracle(CIDescriptor(m + 2, (2, 2)))
+    assert total_chern(CIDescriptor(6, (2, 2))) == [1, 3, 5, 3, 3]
+
+
+def test_total_chern_random_against_long_division():
+    rng = random.Random(5)
+    for _ in range(300):
+        degrees = tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 4)))
+        ambient = rng.randint(len(degrees), len(degrees) + 10)
+        _assert_matches_oracle(CIDescriptor(ambient, degrees))
 
 
 def test_quadric_pair_euler_values():

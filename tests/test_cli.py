@@ -98,6 +98,17 @@ def test_json_output_round_trips(tmp_path, capsys):
     assert report["correlator"] == 0
 
 
+def test_unwritable_output_is_config_error(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run_cli(
+            capsys, "euler", "--m", "4", "--format", "json", "--output", str(target)
+        )
+        assert code == EXIT_CONFIG, target
+        assert "configuration error: cannot write --output" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+
 def test_json_output_is_deterministic(tmp_path, capsys):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
@@ -236,3 +247,28 @@ def test_algebra_json_matches_golden_digests(capsys):
         code, out, _ = run_cli(capsys, section, "--m", str(m), "--seed", "0", "--format", "json")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (section, m)
+
+
+# SHA-256 of the JSON report of runs that reach the finite-field scans,
+# with their exit codes (smoothness at m = 4 mod 3 has colliding weights)
+SCAN_JSON_SHA256 = {
+    ("full", "--m", "4", "--seed", "0"): (
+        EXIT_OK,
+        "4050bf290934c60c441b108022f319e2196521022d6d41d85f97e7bff66ea483",
+    ),
+    ("smoothness", "--m", "4", "--primes", "3"): (
+        EXIT_INCONCLUSIVE,
+        "f55ea0fae66962463433e84da1a6636569ecf879b2b14fee646cee0e3360ff9d",
+    ),
+    ("smoothness", "--m", "6", "--primes", "5", "--seed", "2"): (
+        EXIT_INCONCLUSIVE,
+        "219e79dffe41831598cc3656d61652932e472b47fa04336a7fa5b18141d60afd",
+    ),
+}
+
+
+def test_scan_json_matches_golden_digests(capsys):
+    for argv, (exit_code, digest) in SCAN_JSON_SHA256.items():
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == exit_code, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

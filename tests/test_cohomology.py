@@ -22,33 +22,29 @@ from twoquadrics.exactmath import (
 
 
 def test_gram_entries_dimension_four():
-    lattice = quadric_pencil_gram(4)
-    g = lattice.gram
+    g = quadric_pencil_gram(4)
     assert g[0][0] == 4
     assert all(g[0][i] == 1 for i in range(1, 8))
     assert g[1][1] == 2 and g[1][2] == 1
-    assert lattice.labels[0] == "omega" and lattice.labels[1] == "zeta0"
 
 
 def test_gram_entries_dimension_six():
-    g = quadric_pencil_gram(6).gram
+    g = quadric_pencil_gram(6)
     assert g[1][1] == -2 and g[1][2] == -1 and g[0][1] == 1
 
 
 def test_gram_symmetric_full_rank():
     for m in (4, 6, 8, 10, 12):
-        g = quadric_pencil_gram(m).gram_rows()
+        g = quadric_pencil_gram(m)
         assert g == transpose(g)
         assert rank(g) == m + 4
 
 
 def test_surface_case_is_gated():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="uncertified in dimension 2"):
         quadric_pencil_gram(2)
-    # exposed but uncertified: floor-toward-minus-infinity convention
-    g = quadric_pencil_gram(2, allow_m2=True).gram
-    diag, off = pairing_constants(2)
-    assert (g[1][1], g[1][2]) == (diag, off) == (-1, 0)
+    # uncertified, under the floor-toward-minus-infinity convention
+    assert pairing_constants(2) == (-1, 0)
 
 
 def test_odd_dimension_rejected():
@@ -109,7 +105,7 @@ def test_primitive_projection_entries():
 def test_full_lattice_signature_adds_one_positive_direction():
     for m in (4, 6, 8):
         _, prim_sig = primitive_gram(m)
-        full_diag, _ = gram_diagonalize(quadric_pencil_gram(m).gram_rows())
+        full_diag, _ = gram_diagonalize(quadric_pencil_gram(m))
         pos, neg, zero = signature(full_diag)
         assert zero == 0
         assert (pos, neg) == (prim_sig[0] + 1, prim_sig[1])
