@@ -10,12 +10,19 @@ restricts to zero on that side, if the tangency count violates the
 derived bound, if its virtual dimension misses the cohomological degree
 budget, or if the configuration is too degenerate to support a stable
 map.
+
+A term's verdict depends only on its class (n1, beta1, l, S), S being the
+sum of its divisor degrees; the other fields only multiply the count.  The
+census therefore screens one representative per class and counts the
+class's terms by two small integer tables, so its work is polynomial in m.
+Only the terms of surviving classes are ever built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 from .specialfiber import x1_restriction
 
@@ -98,16 +105,27 @@ def enumerate_terms(m: int):
     """
     if m % 2 or m < 2:
         raise ValueError("dimension must be even and at least 2")
-    return _expand(m, live_insertions(m))
+    live = live_insertions(m)
+    every = {
+        (n1, beta1, l): range(l, l * (m - 1) + 1)
+        for n1 in range(len(live) + 1)
+        for beta1 in range(m // 2 + 1)
+        for l in range(beta1 + 1)
+    }
+    return _expand(m, live, every)
 
 
-def _expand(m: int, live: tuple[int, ...]):
-    for n1 in range(len(live) + 1):
+def _expand(m: int, live: tuple[int, ...], sums: dict):
+    """The terms of the classes in ``sums``, which maps (n1, beta1, l) to
+    the wanted divisor-degree sums: insertion subsets by size and then in
+    ``combinations`` order, each with its curve data in order."""
+    for n1 in sorted({key[0] for key in sums}):
+        curves = [(beta1, l, sums[k, beta1, l]) for k, beta1, l in sorted(sums) if k == n1]
         for subset in combinations(live, n1):
-            for beta1 in range(m // 2 + 1):
-                for l in range(beta1 + 1):
-                    for mu in _partitions(beta1, l):
-                        for deltas in combinations_with_replacement(range(1, m), l):
+            for beta1, l, wanted in curves:
+                for mu in _partitions(beta1, l):
+                    for deltas in combinations_with_replacement(range(1, m), l):
+                        if sum(deltas) in wanted:
                             yield DegenerationTerm(m, subset, beta1, l, mu, deltas)
 
 
@@ -154,7 +172,8 @@ def vanishing_check(term: DegenerationTerm) -> Verdict:
 
 def screens_agree(terms) -> bool:
     """No term rejected by the tangency bound satisfies the dimension
-    equation; cross-validates the inequality chain against brute force."""
+    equation; over the census's class representatives, this cross-validates
+    the inequality chain on every class of terms."""
     for term in terms:
         passes_bound, dim_ok = screen_results(term)
         if passes_bound is False and dim_ok:
@@ -162,27 +181,103 @@ def screens_agree(terms) -> bool:
     return True
 
 
+def partition_counts(top: int) -> list[list[int]]:
+    """p[l][b], the number of partitions of b into exactly l positive parts,
+    for 0 <= l, b <= top."""
+    p = [[0] * (top + 1) for _ in range(top + 1)]
+    p[0][0] = 1
+    for l in range(1, top + 1):
+        for b in range(l, top + 1):
+            # the smallest part is 1, or every part shrinks by 1
+            p[l][b] = p[l - 1][b - 1] + p[l][b - l]
+    return p
+
+
+def delta_sum_counts(m: int) -> list[list[int]]:
+    """N[l][S], the number of size-l multisets from 1..m-1 with sum S, for
+    0 <= l <= m/2 and 0 <= S <= (m/2)*(m-1)."""
+    top = m // 2
+    n = [[0] * (top * (m - 1) + 1) for _ in range(top + 1)]
+    n[0][0] = 1
+    for degree in range(1, m):
+        # ascending l, so a multiset may take this degree more than once
+        for l in range(1, top + 1):
+            row, shorter = n[l], n[l - 1]
+            for s in range(degree, len(row)):
+                row[s] += shorter[s - degree]
+    for l, row in enumerate(n):
+        if sum(row) != comb(m - 2 + l, l):
+            raise ArithmeticError(f"divisor-degree table for l={l} misses multisets at m={m}")
+    return n
+
+
+def _deltas_with_sum(m: int, l: int, total: int) -> tuple[int, ...]:
+    """A weakly increasing l-tuple from 1..m-1 with the given sum, which
+    must lie in l..l*(m-1): ones, then one value between, then a run of
+    m-1."""
+    full, rest = divmod(total - l, m - 2) if m > 2 else (0, 0)
+    if full == l:
+        return (m - 1,) * l
+    return (1,) * (l - full - 1) + (1 + rest,) + (m - 1,) * full
+
+
+def census_classes(m: int, live: tuple[int, ...]) -> list[tuple[int, DegenerationTerm]]:
+    """(number of terms, representative term) for every nonempty class
+    (n1, beta1, l, S) of the terms whose insertions lie in ``live``, ordered
+    by n1, beta1, l and S."""
+    if m % 2 or m < 2:
+        raise ValueError("dimension must be even and at least 2")
+    top = m // 2
+    p = partition_counts(top)
+    n = delta_sum_counts(m)
+    classes = []
+    for n1 in range(len(live) + 1):
+        subsets = comb(len(live), n1)
+        for beta1 in range(top + 1):
+            for l in range(beta1 + 1):
+                if not p[l][beta1]:
+                    continue
+                mu = next(_partitions(beta1, l))
+                for total, ways in enumerate(n[l]):
+                    if ways:
+                        term = DegenerationTerm(
+                            m, live[:n1], beta1, l, mu, _deltas_with_sum(m, l, total)
+                        )
+                        classes.append((subsets * p[l][beta1] * ways, term))
+    return classes
+
+
 def main_correlator_report(m: int) -> dict:
     """Verdict census for the full enumeration and the resulting claim on
     the distinguished correlator.
 
-    The insertion subsets holding a dead class are counted in closed form;
-    the terms of the live subsets stream through the screens twice, once
-    for the verdicts and once for their cross-check, and only survivors
-    are kept.
+    The insertion subsets holding a dead class are counted in closed form.
+    Every other term is counted by its class: one representative per class
+    goes through the screens, once for the verdict and once for their
+    cross-check, and only the surviving classes are expanded into terms.
     """
-    terms = enumerate_terms(m)
-    dead = 2 ** (m + 3) - 2 ** len(live_insertions(m))
+    live = live_insertions(m)
+    classes = census_classes(m, live)
+    dead = 2 ** (m + 3) - 2 ** len(live)
     census = {REASON_ZERO_INSERTION: dead} if dead else {}
     total = dead
-    survivors = []
-    for term in terms:
-        total += 1
+    surviving: dict[tuple[int, int, int], set[int]] = {}
+    expected = 0
+    for count, term in classes:
+        total += count
         verdict = vanishing_check(term)
         if verdict.vanishes:
-            census[verdict.reason] = census.get(verdict.reason, 0) + 1
+            census[verdict.reason] = census.get(verdict.reason, 0) + count
         else:
-            survivors.append(term)
+            surviving.setdefault((term.n1, term.beta1, term.l), set()).add(
+                sum(term.delta_degrees)
+            )
+            expected += count
+    survivors = list(_expand(m, live, surviving))
+    if len(survivors) != expected:
+        raise ArithmeticError(
+            f"{len(survivors)} surviving terms expanded at m={m}, {expected} counted"
+        )
     all_vanish = not survivors
     report = {
         "m": m,
@@ -200,7 +295,7 @@ def main_correlator_report(m: int) -> dict:
             }
             for t in survivors
         ],
-        "screens_consistent": screens_agree(enumerate_terms(m)),
+        "screens_consistent": screens_agree(term for _, term in classes),
         "notes": list(TERM_NOTES),
     }
     if m >= 4:

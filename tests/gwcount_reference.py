@@ -1,11 +1,16 @@
-"""The exhaustive route through the degeneration census, kept as a reference
-for the streamed census in ``twoquadrics.gwcount``.
+"""Two reference routes through the degeneration census, kept as oracles for
+the counted census in ``twoquadrics.gwcount``.
 
-Here every one of the 2^{m+3} insertion subsets is visited and each of its
-classes is restricted to the quadric side.  A subset holding a class that
-restricts to zero becomes one dead entry with its verdict; every other
-subset expands into all of its curve data.  The report is built from the
-whole list and must equal the streamed one.
+``streamed_report`` is the term-by-term route: every term of the live
+insertion subsets, built by ``gwcount.enumerate_terms``, goes through the
+census's own screens, and the dead subsets are counted in closed form.
+
+``main_correlator_report`` is the exhaustive route: every one of the
+2^{m+3} insertion subsets is visited and each of its classes is restricted
+to the quadric side.  A subset holding a class that restricts to zero
+becomes one dead entry with its verdict; every other subset expands into
+all of its curve data.  The report is built from the whole list.  Both
+reports must equal the counted one.
 
 The dimension screen here goes through the general genus-zero relative
 virtual dimension of a target with given dimension, c1 pairing and divisor
@@ -13,12 +18,13 @@ pairing, with the tangency multiplicities of every term validated, rather
 than through the closed form the census uses for the quadric piece.  The
 verdicts apply the census's three screens in its order (stability, tangency
 bound, dimension) to that reference screen, so the reference report shares
-no screening code with the streamed one.
+no screening code with the counted one.
 """
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
+from twoquadrics import gwcount
 from twoquadrics.gwcount import (
     REASON_DIMENSION,
     REASON_L_BOUND,
@@ -162,11 +168,34 @@ def main_correlator_report(m: int) -> dict:
             census[v.reason] = census.get(v.reason, 0) + 1
         else:
             survivors.append(term)
+    consistent = not any(passes_bound is False and dim_ok for passes_bound, dim_ok in screened)
+    return _report(m, len(terms), census, survivors, consistent)
+
+
+def streamed_report(m: int) -> dict:
+    """The census with every live term built and screened, and the screens
+    cross-checked over a second stream of the same terms."""
+    dead = 2 ** (m + 3) - 2 ** len(gwcount.live_insertions(m))
+    census = {REASON_ZERO_INSERTION: dead} if dead else {}
+    total = dead
+    survivors = []
+    for term in gwcount.enumerate_terms(m):
+        total += 1
+        v = gwcount.vanishing_check(term)
+        if v.vanishes:
+            census[v.reason] = census.get(v.reason, 0) + 1
+        else:
+            survivors.append(term)
+    consistent = gwcount.screens_agree(gwcount.enumerate_terms(m))
+    return _report(m, total, census, survivors, consistent)
+
+
+def _report(m: int, total: int, census: dict, survivors: list, consistent: bool) -> dict:
     all_vanish = not survivors
     return {
         "m": m,
         "curve_class": m // 2,
-        "total_terms": len(terms),
+        "total_terms": total,
         "verdict_census": dict(sorted(census.items())),
         "surviving_terms": [
             {
@@ -179,9 +208,7 @@ def main_correlator_report(m: int) -> dict:
             }
             for t in survivors
         ],
-        "screens_consistent": not any(
-            passes_bound is False and dim_ok for passes_bound, dim_ok in screened
-        ),
+        "screens_consistent": consistent,
         "notes": list(TERM_NOTES),
         "status": ("vanishes" if all_vanish else "contradicted") if m >= 4 else "inconclusive",
         "correlator_value": 0 if m >= 4 and all_vanish else None,

@@ -1,22 +1,28 @@
 import random
 import time
-from itertools import islice
+from collections import Counter
+from itertools import combinations_with_replacement, islice
+from math import comb
 
 import gwcount_reference
 import pytest
 from gwcount_reference import RelativeProblem, quadric_component_geometry, virdim_relative
 
+from twoquadrics import cli, gwcount
 from twoquadrics.gwcount import (
     REASON_L_BOUND,
     REASON_UNSTABLE,
     REASON_ZERO_INSERTION,
     DegenerationTerm,
     _partitions,
+    census_classes,
     degree_budget,
+    delta_sum_counts,
     enumerate_terms,
     l_bound,
     live_insertions,
     main_correlator_report,
+    partition_counts,
     screen_results,
     screens_agree,
     vanishing_check,
@@ -263,3 +269,72 @@ def test_reference_screen_validates_every_term():
     bad = DegenerationTerm(4, (), 2, 1, (1,), (1,))  # multiplicities sum to 1, not 2
     with pytest.raises(ValueError):
         gwcount_reference.screen_results(bad)
+
+
+def test_counted_report_equals_the_streamed_report():
+    for m in range(2, 15, 2):
+        assert main_correlator_report(m) == gwcount_reference.streamed_report(m), m
+
+
+def test_count_tables_match_brute_force():
+    for m in range(2, 13, 2):
+        table = delta_sum_counts(m)
+        assert len(table) == m // 2 + 1
+        for l in range(m // 2 + 1):
+            sums = Counter(sum(d) for d in combinations_with_replacement(range(1, m), l))
+            assert table[l] == [sums[s] for s in range(len(table[l]))], (m, l)
+    p = partition_counts(12)
+    for l in range(13):
+        for beta in range(13):
+            assert p[l][beta] == sum(1 for _ in _partitions(beta, l)), (l, beta)
+
+
+def test_class_representatives_pass_the_reference_screen():
+    for m in range(2, 15, 2):
+        for count, term in census_classes(m, live_insertions(m)):
+            assert count > 0
+            assert list(term.delta_degrees) == sorted(term.delta_degrees)
+            assert all(1 <= d <= m - 1 for d in term.delta_degrees)
+            # the reference screen validates mu against beta1 and l
+            assert gwcount_reference.screen_results(term) == screen_results(term), term
+
+
+def test_class_counts_equal_the_streamed_terms():
+    def key(t):
+        return t.n1, t.beta1, t.l, sum(t.delta_degrees)
+
+    for m in (2, 4, 6, 8, 10):
+        classes = census_classes(m, live_insertions(m))
+        counted = {key(t): count for count, t in classes}
+        assert len(counted) == len(classes)
+        assert counted == Counter(key(t) for t in enumerate_terms(m)), m
+
+
+def test_census_at_dimension_thirty_is_counted_in_closed_form():
+    m = 30
+    assert live_insertions(m) == (m + 2,)
+    # the two live subsets, {} and {e_{m+2}}, share their curve data: a
+    # split beta1 <= m/2, its tangencies as a partition into l parts, and a
+    # multiset of l divisor degrees from 1..m-1
+    curve_data = sum(
+        sum(1 for _ in _partitions(beta1, l)) * comb(m - 2 + l, l)
+        for beta1 in range(m // 2 + 1)
+        for l in range(beta1 + 1)
+    )
+    report = main_correlator_report(m)
+    assert report["total_terms"] == 2 ** (m + 3) - 2 + 2 * curve_data
+    assert sum(report["verdict_census"].values()) == report["total_terms"]
+    assert report["status"] == "vanishes" and report["correlator_value"] == 0
+    assert report["screens_consistent"] and report["surviving_terms"] == []
+
+
+def test_count_cross_checks_are_internal_errors(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(gwcount, "comb", lambda n, k: comb(n, k) + 1)
+        with pytest.raises(ArithmeticError, match="multisets"):
+            main_correlator_report(4)
+    monkeypatch.setattr(gwcount, "_expand", lambda m, live, sums: iter(()))
+    with pytest.raises(ArithmeticError, match="2 counted"):
+        main_correlator_report(2)
+    with pytest.raises(ArithmeticError):
+        cli.main(["degeneration", "--m", "2"])
