@@ -24,7 +24,6 @@ from .exactmath import (
     gram_diagonalize,
     identity,
     integer_kernel_basis,
-    mat_mul,
     mat_vec,
     signature,
     smith_normal_form,
@@ -77,9 +76,20 @@ def integral_basis_matrix(m: int) -> Mat:
 
 
 def integral_gram(m: int) -> Mat:
+    """Gram matrix C^T G C in the integral basis.
+
+    C is the identity with its first column replaced by the coordinates c
+    of zeta_{-1}, so only row and column 0 differ from G: entry (0, j) is
+    (G c)[j] for j >= 1, G being symmetric, and entry (0, 0) is c^T G c.
+    """
     g = quadric_pencil_gram(m)
-    c = integral_basis_matrix(m)
-    return mat_mul(transpose(c), mat_mul(g, c))
+    c = [row[0] for row in integral_basis_matrix(m)]
+    row0 = mat_vec(g, c)
+    row0[0] = sum(x * y for x, y in zip(row0, c))
+    g[0] = row0
+    for i in range(1, len(g)):
+        g[i][0] = row0[i]
+    return g
 
 
 def integral_gram_det(m: int) -> Fraction:
@@ -114,13 +124,16 @@ def lattice_index(m: int) -> int:
 
 def primitive_gram(m: int) -> tuple[Mat, tuple[int, int, int]]:
     """Gram matrix of the omega-orthogonal projections of the plane
-    classes, together with its signature."""
+    classes, together with its signature.
+
+    Projecting zeta_i off omega is a rank-one update of the plane block:
+    entry (i-1, j-1) is G[i][j] - G[0][i]*G[0][j]/G[0][0] for i, j >= 1.
+    """
     g = quadric_pencil_gram(m)
-    n = m + 4
-    proj = [[Fraction(0)] * (m + 3) for _ in range(n)]
-    for j in range(m + 3):
-        proj[j + 1][j] = Fraction(1)
-        proj[0][j] = -g[0][j + 1] / g[0][0]
-    gram = mat_mul(transpose(proj), mat_mul(g, proj))
-    diag, _ = gram_diagonalize(gram)
-    return gram, signature(diag)
+    omega_row = g[0]
+    norm = omega_row[0]
+    gram = [
+        [g[i][j] - omega_row[i] * omega_row[j] / norm for j in range(1, m + 4)]
+        for i in range(1, m + 4)
+    ]
+    return gram, signature(gram_diagonalize(gram))

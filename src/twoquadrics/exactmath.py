@@ -3,9 +3,12 @@
 Scalars are plain ``int`` and ``fractions.Fraction``; Gaussian rationals get
 a small dataclass.  Matrices are row-major lists of lists holding every
 entry, zeros included; ``mat_mul`` skips the zero entries, so a product
-with a sparse factor costs about one step per nonzero pair.  All pivot
-choices are the lowest admissible index, so every routine is deterministic
-and its output reproducible bit for bit.
+with a sparse factor costs about one step per nonzero pair.  The
+determinant and the congruence diagonal of a rational matrix are computed
+fraction-free: the matrix is scaled to integers and Bareiss elimination
+keeps every intermediate value an integer.  All pivot choices are the
+lowest admissible index, so every routine is deterministic and its output
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -345,14 +348,17 @@ def integer_kernel_basis(m) -> list[list[int]]:
     return [[right[i][j] for i in range(cols)] for j in kernel_cols]
 
 
-def gram_diagonalize(g: Mat) -> tuple[list[Fraction], Mat]:
-    """Congruence-diagonalize a symmetric matrix over Q.
+def gram_diagonalize(g: Mat) -> list[Fraction]:
+    """Diagonal of a congruence diagonalization of a symmetric matrix over Q.
 
-    Returns ``(diag, t)`` with ``t^T * g * t`` equal to ``diag`` as a
-    diagonal matrix.  Pivot rule: the first nonzero diagonal entry at or
-    below the current position; if the remaining diagonal is zero, the
-    first nonzero off-diagonal entry (row-major) is folded onto the
-    diagonal first.  Ties always break toward the lowest index.
+    Pivot rule: the first nonzero diagonal entry at or below the current
+    position; if the remaining diagonal is zero, the first nonzero
+    off-diagonal entry (row-major) is folded onto the diagonal first.
+    Ties always break toward the lowest index.  The elimination is
+    fraction-free (symmetric Bareiss) on the integer matrix s*g, s the lcm
+    of the denominators: after step k the live block holds pivot_k times
+    the Schur complement, every division is exact, and the k-th diagonal
+    entry is pivot_k / (pivot_{k-1} * s).
     """
     rows, cols = _check_rect(g)
     if rows != cols:
@@ -362,23 +368,10 @@ def gram_diagonalize(g: Mat) -> tuple[list[Fraction], Mat]:
         for j in range(i + 1, n):
             if g[i][j] != g[j][i]:
                 raise ValueError("gram matrix must be symmetric")
-    a = [[Fraction(x) for x in row] for row in g]
-    t = identity(n)
-
-    def sym_col_add(i, j, c):
-        for r_ in a:
-            r_[i] += c * r_[j]
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        for r_ in t:
-            r_[i] += c * r_[j]
-
-    def sym_swap(i, j):
-        for r_ in a:
-            r_[i], r_[j] = r_[j], r_[i]
-        a[i], a[j] = a[j], a[i]
-        for r_ in t:
-            r_[i], r_[j] = r_[j], r_[i]
-
+    s = lcm(*(Fraction(x).denominator for row in g for x in row))
+    a = [[int(Fraction(x) * s) for x in row] for row in g]
+    diag = [Fraction(0)] * n
+    prev = 1
     for k in range(n):
         pivot = next((i for i in range(k, n) if a[i][i]), None)
         if pivot is None:
@@ -393,14 +386,23 @@ def gram_diagonalize(g: Mat) -> tuple[list[Fraction], Mat]:
             )
             if pair is None:
                 break
-            sym_col_add(pair[0], pair[1], Fraction(1))
-            pivot = pair[0]
+            i, j = pair
+            for row in a[k:]:
+                row[i] += row[j]
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            pivot = i
         if pivot != k:
-            sym_swap(pivot, k)
-        for r in range(k + 1, n):
-            if a[r][k]:
-                sym_col_add(r, k, -a[r][k] / a[k][k])
-    return [a[i][i] for i in range(n)], t
+            for row in a[k:]:
+                row[pivot], row[k] = row[k], row[pivot]
+            a[pivot], a[k] = a[k], a[pivot]
+        top = a[k]
+        p = top[k]
+        diag[k] = Fraction(p, prev * s)
+        for row in a[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = [(p * x - f * y) // prev for x, y in zip(row[k + 1 :], top[k + 1 :])]
+        prev = p
+    return diag
 
 
 def signature(diag) -> tuple[int, int, int]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 
 @dataclass(frozen=True)
@@ -72,35 +73,48 @@ def verify_points_on_quadrics(cfg: LambdaConfig) -> bool:
     return True
 
 
-def _eval_poly(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def verify_plane_in_x(cfg: LambdaConfig, trials: int = 100, seed: int = 0) -> bool:
     """Random points of the plane satisfy both quadrics exactly.
 
-    A point is parametrized by a polynomial of degree at most m/2; the two
-    quadrics evaluate to sum_i c_i Q(lambda_i)^2 and
-    sum_i c_i lambda_i Q(lambda_i)^2, which must both vanish.
+    A point is parametrized by a polynomial q of degree at most m/2; the
+    two quadrics evaluate to sum_i c_i q(lambda_i)^2 and
+    sum_i c_i lambda_i q(lambda_i)^2, which must both vanish.  Both sums
+    are taken in integers, times a nonzero constant: with b the lcm of the
+    node denominators, a_i = lambda_i*b, and the denominators of q cleared
+    to Q, H_i = sum_k Q_k a_i^k b^(deg-k) is a multiple of q(lambda_i)
+    that is the same for every i, and the weights c_i and c_i*lambda_i are
+    scaled by one common L to integers W1_i and W2_i.
     """
     if cfg.m < 0 or cfg.m % 2:
         raise ValueError("even dimension required")
+    if trials < 1:
+        raise ValueError("trials must be positive")
     rng = random.Random(seed)
     degree = cfg.m // 2
+    b = lcm(*(li.denominator for li in cfg.lambdas))
+    nodes = [int(li * b) for li in cfg.lambdas]
+    b_powers = [b**e for e in range(degree + 1)]
+    second_weights = [c * li for li, c in zip(cfg.lambdas, cfg.weights)]
+    scale = lcm(*(w.denominator for w in cfg.weights + tuple(second_weights)))
+    w1 = [int(c * scale) for c in cfg.weights]
+    w2 = [int(c * scale) for c in second_weights]
     for _ in range(trials):
         q = [
             Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             for _ in range(degree + 1)
         ]
-        first = Fraction(0)
-        second = Fraction(0)
-        for li, c in zip(cfg.lambdas, cfg.weights):
-            sq = _eval_poly(q, li) ** 2
-            first += c * sq
-            second += c * li * sq
+        den = lcm(*(x.denominator for x in q))
+        # Q_k * b^(deg-k), highest degree first for Horner's rule
+        coeffs = [int(x * den) * b_powers[degree - k] for k, x in enumerate(q)][::-1]
+        first = 0
+        second = 0
+        for a, c1, c2 in zip(nodes, w1, w2):
+            acc = 0
+            for coeff in coeffs:
+                acc = acc * a + coeff
+            sq = acc * acc
+            first += c1 * sq
+            second += c2 * sq
         if first or second:
             return False
     return True

@@ -64,6 +64,15 @@ def test_bad_lambda_count_is_config_error(capsys):
         assert "--lambdas" in err
 
 
+def test_rational_lambdas_pass_the_geombasis_section(capsys):
+    lambdas = "1/2,-3/4,5/6,7,-2/3,11/5,0"
+    code, out, _ = run_cli(capsys, "geombasis", "--m", "4", "--lambdas", lambdas, "--format", "json")
+    assert code == EXIT_OK
+    (section,) = json.loads(out)["sections"]
+    assert section["nodes"] == lambdas.split(",")
+    assert section["claims"] and all(c["ok"] is True for c in section["claims"])
+
+
 def test_internal_value_error_is_not_a_config_error(monkeypatch):
     def broken(cfg):
         raise ValueError("point does not satisfy the system")

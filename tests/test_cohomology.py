@@ -14,6 +14,7 @@ from twoquadrics.cohomology import (
 from twoquadrics.exactmath import (
     det,
     gram_diagonalize,
+    mat_mul,
     rank,
     signature,
     smith_normal_form,
@@ -73,6 +74,25 @@ def test_integral_gram_is_integer_valued():
         assert all(x.denominator == 1 for row in g for x in row)
 
 
+def _dense_projection(m):
+    """Columns are the omega-orthogonal projections of zeta_0 .. zeta_{m+2}."""
+    g = quadric_pencil_gram(m)
+    proj = [[Fraction(0)] * (m + 3) for _ in range(m + 4)]
+    for j in range(m + 3):
+        proj[j + 1][j] = Fraction(1)
+        proj[0][j] = -g[0][j + 1] / g[0][0]
+    return proj
+
+
+def test_structured_grams_match_dense_products():
+    for m in range(4, 61, 2):
+        g = quadric_pencil_gram(m)
+        c = integral_basis_matrix(m)
+        assert integral_gram(m) == mat_mul(transpose(c), mat_mul(g, c)), m
+        p = _dense_projection(m)
+        assert primitive_gram(m)[0] == mat_mul(transpose(p), mat_mul(g, p)), m
+
+
 def test_lattice_index_is_four():
     for m in (4, 6, 8, 10):
         assert lattice_index(m) == 4
@@ -105,7 +125,7 @@ def test_primitive_projection_entries():
 def test_full_lattice_signature_adds_one_positive_direction():
     for m in (4, 6, 8):
         _, prim_sig = primitive_gram(m)
-        full_diag, _ = gram_diagonalize(quadric_pencil_gram(m))
+        full_diag = gram_diagonalize(quadric_pencil_gram(m))
         pos, neg, zero = signature(full_diag)
         assert zero == 0
         assert (pos, neg) == (prim_sig[0] + 1, prim_sig[1])

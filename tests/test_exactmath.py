@@ -5,6 +5,8 @@ from math import gcd
 
 import pytest
 
+import exactmath_reference as reference
+from twoquadrics.cohomology import pairing_constants, primitive_gram
 from twoquadrics.exactmath import (
     GaussRational,
     IMAG_UNIT,
@@ -216,17 +218,68 @@ def test_integer_kernel_basis():
 
 
 def test_gram_diagonalize_already_diagonal():
-    diag, t = gram_diagonalize([[frac(1), frac(0)], [frac(0), frac(-1)]])
-    assert diag == [frac(1), frac(-1)]
-    assert t == identity(2)
+    g = [[frac(1), frac(0)], [frac(0), frac(-1)]]
+    assert gram_diagonalize(g) == [frac(1), frac(-1)]
+    assert reference.gram_diagonalize(g) == ([frac(1), frac(-1)], identity(2))
 
 
 def test_gram_diagonalize_hyperbolic():
     g = [[frac(0), frac(1)], [frac(1), frac(0)]]
-    diag, t = gram_diagonalize(g)
+    diag = gram_diagonalize(g)
     assert signature(diag) == (1, 1, 0)
+    ref_diag, t = reference.gram_diagonalize(g)
+    assert diag == ref_diag
     product = mat_mul(transpose(t), mat_mul(g, t))
     assert product == [[diag[0], frac(0)], [frac(0), diag[1]]]
+
+
+def _random_symmetric(rng, n, density, zero_diagonal):
+    g = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < density and not (zero_diagonal and i == j):
+                g[i][j] = g[j][i] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    return g
+
+
+def test_gram_diagonalize_matches_dense_oracle():
+    rng = random.Random(41)
+    folds = 0
+    for trial in range(2000):
+        n = rng.randint(1, 7)
+        zero_diagonal = trial % 4 == 0
+        g = _random_symmetric(rng, n, rng.choice((0.2, 0.5, 1.0)), zero_diagonal)
+        diag = gram_diagonalize(g)
+        assert diag == reference.gram_diagonalize(g)[0], g
+        assert all(type(d) is Fraction for d in diag)
+        folds += zero_diagonal and any(any(row) for row in g)
+    # the all-zero diagonals send the first step through the fold branch
+    assert folds > 250
+
+
+def _primitive_gram_closed_form(m):
+    """The primitive Gram alpha*I + beta*J of size m+3 with its diagonal.
+
+    Its k-th Schur complement is alpha*I + beta_k*J with
+    beta_k = alpha*beta/(alpha+k*beta), so the k-th pivot is
+    alpha*(alpha+(k+1)*beta)/(alpha+k*beta)."""
+    d, o = pairing_constants(m)
+    alpha, beta = d - o, o - Fraction(1, 4)
+    n = m + 3
+    gram = [[alpha * (i == j) + beta for j in range(n)] for i in range(n)]
+    diag = [alpha * (alpha + (k + 1) * beta) / (alpha + k * beta) for k in range(n)]
+    return gram, diag
+
+
+def test_gram_diagonalize_primitive_grams():
+    for m in range(4, 61, 2):
+        gram, expected = _primitive_gram_closed_form(m)
+        diag = gram_diagonalize(gram)
+        assert diag == expected, m
+        # the dense oracle costs O(n^3) Fraction steps; a few sizes suffice
+        if m <= 12 or m == 24:
+            assert gram == primitive_gram(m)[0], m
+            assert diag == reference.gram_diagonalize(gram)[0], m
 
 
 def test_gram_diagonalize_rejects_asymmetric():
@@ -252,10 +305,10 @@ def test_signature_invariant_under_congruence():
         for i in range(n):
             for j in range(i):
                 g[i][j] = g[j][i]
-        base_sig = signature(gram_diagonalize(g)[0])
+        base_sig = signature(gram_diagonalize(g))
         u = _random_unimodular(rng, n)
         conj = mat_mul(transpose(u), mat_mul(g, u))
-        assert signature(gram_diagonalize(conj)[0]) == base_sig
+        assert signature(gram_diagonalize(conj)) == base_sig
 
 
 def test_congruence_identity_holds():
@@ -266,7 +319,8 @@ def test_congruence_identity_holds():
         for i in range(n):
             for j in range(i):
                 g[i][j] = g[j][i]
-        diag, t = gram_diagonalize(g)
+        diag, t = reference.gram_diagonalize(g)
+        assert gram_diagonalize(g) == diag
         product = mat_mul(transpose(t), mat_mul(g, t))
         for i in range(n):
             for j in range(n):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import geombasis_reference as reference
 from twoquadrics.geombasis import (
     LambdaConfig,
     default_config,
@@ -100,6 +101,54 @@ def test_plane_in_intersection_random_parametrizations():
     assert verify_plane_in_x(default_config(4), trials=100, seed=42)
     for m in (6, 8):
         assert verify_plane_in_x(default_config(m), trials=20, seed=1)
+
+
+def _random_rational_config(rng, m):
+    nodes = set()
+    while len(nodes) < m + 3:
+        nodes.add(Fraction(rng.randint(-30, 30), rng.randint(1, 6)))
+    return LambdaConfig(tuple(rng.sample(sorted(nodes), m + 3)))
+
+
+def test_plane_check_matches_fraction_oracle():
+    rng = random.Random(53)
+    for m in (2, 4, 6, 8):
+        for seed in range(6):
+            cfg = _random_rational_config(rng, m)
+            assert verify_plane_in_x(cfg, trials=8, seed=seed)
+            assert reference.verify_plane_in_x(cfg, trials=8, seed=seed)
+
+
+def test_plane_check_rejects_a_perturbed_weight():
+    rng = random.Random(59)
+    for m in (2, 4, 6, 8):
+        cfg = _random_rational_config(rng, m)
+        weights = list(cfg.weights)
+        weights[rng.randrange(m + 3)] += Fraction(1, 7)
+        object.__setattr__(cfg, "weights", tuple(weights))
+        assert not verify_plane_in_x(cfg, trials=8, seed=m)
+        assert not reference.verify_plane_in_x(cfg, trials=8, seed=m)
+
+
+def test_plane_check_rejects_weights_that_fail_only_the_second_quadric():
+    # the weights of the first m+2 nodes, and 0 at the last, kill every
+    # power sum through degree m, so sum_i c_i q(lambda_i)^2 still vanishes;
+    # the degree m+1 sum is 1, so sum_i c_i lambda_i q(lambda_i)^2 does not
+    rng = random.Random(61)
+    for m in (2, 4, 6, 8):
+        cfg = _random_rational_config(rng, m)
+        weights = lagrange_weights(LambdaConfig(cfg.lambdas[:-1])) + (Fraction(0),)
+        object.__setattr__(cfg, "weights", weights)
+        assert power_sum(cfg, m) == 0 and power_sum(cfg, m + 1) == 1
+        assert not verify_plane_in_x(cfg, trials=8, seed=m)
+        assert not reference.verify_plane_in_x(cfg, trials=8, seed=m)
+
+
+def test_plane_check_needs_a_trial():
+    with pytest.raises(ValueError, match="trials"):
+        verify_plane_in_x(default_config(4), trials=0)
+    with pytest.raises(ValueError, match="trials"):
+        verify_plane_in_x(default_config(4), trials=-3)
 
 
 def test_repeated_nodes_rejected():
