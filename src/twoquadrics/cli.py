@@ -21,6 +21,7 @@ EXIT_OK = 0
 EXIT_DISCREPANCY = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_CONFIG = 4
+DEFAULT_BUDGET = 2_000_000  # projective points per finite-field scan
 
 class _UsageError(Exception):
     pass
@@ -113,41 +114,34 @@ def run_fiber(cfg: dict) -> dict:
     m = cfg["m"]
     if m < 4:
         return _section("fiber", [], skipped="the fiber model starts in dimension 4")
-    try:
-        basis = specialfiber.mv_kernel(m)
-        span_ok = True
-    except ArithmeticError:
-        basis = []
-        span_ok = False
-    gram = specialfiber.fiber_gram_on_kernel(m) if span_ok else []
-    expected = [
-        [Fraction(0)] * len(basis) for _ in range(len(basis))
-    ]
-    if span_ok:
-        expected[0][0] = Fraction(4)
-        expected[2][2] = Fraction(1)
-        expected[3][3] = Fraction(1)
-        for i in range(4, len(basis)):
-            expected[i][i] = Fraction(-1)
+    basis = specialfiber.mv_kernel(m)
+    gram = specialfiber.fiber_gram_on_kernel(m)
+    expected = [[Fraction(0)] * len(basis) for _ in range(len(basis))]
+    expected[0][0] = Fraction(4)
+    expected[2][2] = Fraction(1)
+    expected[3][3] = Fraction(1)
+    for i in range(4, len(basis)):
+        expected[i][i] = Fraction(-1)
     rmap = specialfiber.restriction_map(m)
     kernel = rmap.kernel()
     kernel_ok = len(kernel) == 1 and all(
         not c for j, c in enumerate(kernel[0]) if j != 1
     )
+    rank = rmap.rank()
     claims = [
         _claim(
             "glued-fiber-kernel-matches-named-basis",
-            span_ok and len(basis) == m + 5,
+            len(basis) == m + 5,
             dimension=len(basis),
         ),
-        _claim("fiber-pairing-matches-block-table", span_ok and gram == expected),
+        _claim("fiber-pairing-matches-block-table", gram == expected),
         _claim(
             "restriction-is-pairing-compatible", rmap.is_pairing_preserving()
         ),
         _claim(
             "restriction-kernel-is-the-null-block",
             kernel_ok,
-            rank=rmap.rank(),
+            rank=rank,
         ),
     ]
     return _section(
@@ -167,7 +161,7 @@ def run_fiber(cfg: dict) -> dict:
             "columns": list(rmap.source_labels),
             "entries": [[_fmt_gauss(x) for x in row] for row in rmap.matrix],
         },
-        restriction_rank=rmap.rank(),
+        restriction_rank=rank,
     )
 
 
@@ -204,24 +198,23 @@ def run_smoothness(cfg: dict) -> dict:
         if any(v.denominator != 1 for v in lambdas):
             raise _UsageError("the finite-field scans need integer --lambdas")
         lambdas = [int(v) for v in lambdas]
-    # before the genericity screen, which scans P^m(F_p) for every draw
-    try:
-        for p in primes:
-            smoothcheck._check_budget(m + 3, p, cfg["budget"])
-    except smoothcheck.BudgetExceededError as exc:
-        raise _UsageError(str(exc)) from exc
+    # the only budget check: before the genericity screen, which scans
+    # P^m(F_p) for every draw, and before the scans, which do not check it
+    for p in primes:
+        count = smoothcheck.projective_count(m + 3, p)
+        if count > cfg["budget"]:
+            raise _UsageError(
+                f"scan of {count} projective points exceeds the budget "
+                f"{cfg['budget']}; use a smaller prime"
+            )
     data = smoothcheck.default_pencil(
         m, primes=tuple(primes), seed=cfg["seed"], lambdas=lambdas
     )
     claims = []
     per_prime = []
     for p in primes:
-        locus = smoothcheck.singular_locus_check(
-            data, p, allow_lambda_collisions=True, budget=cfg["budget"]
-        )
-        charts = smoothcheck.chart_smoothness_check(
-            data, p, allow_lambda_collisions=True, budget=cfg["budget"]
-        )
+        locus = smoothcheck.singular_locus_check(data, p)
+        charts = smoothcheck.chart_smoothness_check(data, p)
         # weights that collide mod p put the reduction outside the
         # construction: its claims are reported but are not evidence
         collisions = locus["lambda_collisions"]
@@ -340,7 +333,7 @@ def build_parser() -> _Parser:
     parser.add_argument(
         "--budget",
         type=int,
-        default=smoothcheck.DEFAULT_BUDGET,
+        default=DEFAULT_BUDGET,
         help="maximum projective points per finite-field scan",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")

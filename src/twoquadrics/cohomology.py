@@ -6,10 +6,12 @@ of the ambient hyperplane power and the half-dimensional plane classes
 zeta_0 .. zeta_{m+2}, whose pairings depend only on m.  A rational class
 zeta with (m+1)*zeta = (m/2+1)*omega^{m/2} - sum(zeta_i) makes
 zeta_{-1} = 2*zeta - omega^{m/2} integral, and {zeta_{-1}, zeta_0, ..,
-zeta_{m+2}} spans the full integral middle cohomology.  Everything below
-is computed from the pairing table, never hardcoded: the unit determinant
-of the integral Gram, the index-4 sublattice generated by the ambient
-class together with its integral orthogonal complement, and the
+zeta_{m+2}} spans the full integral middle cohomology.  The same relation
+gives omega^{m/2} = (m+1)*zeta_{-1} + 2*sum(zeta_i), so omega's integral
+coordinates are written down and checked, not solved for.  The three
+claims are computed from the pairing table, never hardcoded: the unit
+determinant of the integral Gram, the index-4 sublattice generated by the
+ambient class together with its integral orthogonal complement, and the
 definiteness of the primitive part.
 """
 
@@ -22,12 +24,10 @@ from .exactmath import (
     Mat,
     det,
     gram_diagonalize,
-    identity,
     integer_kernel_basis,
     mat_vec,
     signature,
     smith_normal_form,
-    solve_exact,
     transpose,
 )
 
@@ -62,17 +62,10 @@ def quadric_pencil_gram(m: int) -> Mat:
     return gram
 
 
-def integral_basis_matrix(m: int) -> Mat:
-    """Columns express zeta_{-1}, zeta_0 .. zeta_{m+2} in the
-    (omega, zeta_i) coordinates; zeta_{-1} = 2*zeta - omega^{m/2}."""
-    n = m + 4
-    cols = identity(n)
-    zeta = [Fraction(m // 2 + 1, m + 1)] + [Fraction(-1, m + 1)] * (m + 3)
-    first = [2 * c for c in zeta]
-    first[0] -= 1
-    for i in range(n):
-        cols[i][0] = first[i]
-    return cols
+def _zeta_minus_one(m: int) -> list[Fraction]:
+    """Coordinates c of zeta_{-1} = 2*zeta - omega^{m/2} in the basis
+    omega^{m/2}, zeta_0 .. zeta_{m+2}."""
+    return [Fraction(2 * (m // 2 + 1), m + 1) - 1] + [Fraction(-2, m + 1)] * (m + 3)
 
 
 def integral_gram(m: int) -> Mat:
@@ -83,7 +76,7 @@ def integral_gram(m: int) -> Mat:
     (G c)[j] for j >= 1, G being symmetric, and entry (0, 0) is c^T G c.
     """
     g = quadric_pencil_gram(m)
-    c = [row[0] for row in integral_basis_matrix(m)]
+    c = _zeta_minus_one(m)
     row0 = mat_vec(g, c)
     row0[0] = sum(x * y for x, y in zip(row0, c))
     g[0] = row0
@@ -98,19 +91,33 @@ def integral_gram_det(m: int) -> Fraction:
 
 
 def _omega_in_integral_coords(m: int) -> list[int]:
-    coords = solve_exact(integral_basis_matrix(m), [Fraction(1)] + [Fraction(0)] * (m + 3))
-    if coords is None or any(c.denominator != 1 for c in coords):
+    """omega^{m/2} = (m+1)*zeta_{-1} + 2*sum(zeta_i), from the relation
+    that defines zeta; checked by mapping it back through C."""
+    coords = [m + 1] + [2] * (m + 3)
+    c = _zeta_minus_one(m)
+    # C x is x_0 * c, plus x_i on each coordinate i >= 1
+    image = [coords[0] * ci for ci in c]
+    for i in range(1, m + 4):
+        image[i] += coords[i]
+    if image != [1] + [0] * (m + 3):
         raise ArithmeticError("omega^{m/2} is not integral in the integral basis")
-    return [int(c) for c in coords]
+    return coords
+
+
+def _pairings_with_omega(m: int) -> list[Fraction]:
+    """Pairings of omega^{m/2} with the integral basis.  C maps omega's
+    integral coordinates to e_0, so they are C^T (G e_0): c . G e_0 for
+    zeta_{-1}, then column 0 of the pairing table."""
+    column = [row[0] for row in quadric_pencil_gram(m)]
+    return [sum(x * y for x, y in zip(_zeta_minus_one(m), column))] + column[1:]
 
 
 def lattice_index(m: int) -> int:
     """Index of Z<omega^{m/2}> + (integral orthogonal complement of omega)
     inside the full integral lattice, via Smith normal form of the
     inclusion matrix."""
-    g = integral_gram(m)
     omega = _omega_in_integral_coords(m)
-    pair_with_omega = mat_vec(g, [Fraction(x) for x in omega])
+    pair_with_omega = _pairings_with_omega(m)
     if any(v.denominator != 1 for v in pair_with_omega):
         raise ArithmeticError("pairing with omega^{m/2} is not integral")
     constraint = [[int(v) for v in pair_with_omega]]

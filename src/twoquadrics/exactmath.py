@@ -92,10 +92,6 @@ class GaussRational:
 IMAG_UNIT = GaussRational(Fraction(0), Fraction(1))
 
 
-def identity(n: int) -> Mat:
-    return [[Fraction(i == j) for j in range(n)] for i in range(n)]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)]
 

@@ -23,10 +23,6 @@ from random import Random
 from .exactmath import echelon, kernel_basis
 
 
-class BudgetExceededError(RuntimeError):
-    """Raised when a scan would touch more points than the budget allows."""
-
-
 class DegenerateReductionError(ValueError):
     """Raised when the chosen data degenerates modulo the chosen prime."""
 
@@ -128,18 +124,6 @@ def projective_count(nvars: int, p: int) -> int:
     return (p**nvars - 1) // (p - 1)
 
 
-DEFAULT_BUDGET = 2_000_000
-
-
-def _check_budget(nvars: int, p: int, budget: int) -> None:
-    count = projective_count(nvars, p)
-    if count > budget:
-        raise BudgetExceededError(
-            f"scan of {count} projective points exceeds the budget {budget}; "
-            "use a smaller prime"
-        )
-
-
 def _rank_mod(rows, p: int) -> int:
     return len(echelon(rows, p)[1])
 
@@ -157,7 +141,9 @@ def _forms_independent(g1, g2, p: int) -> bool:
     return _rank_mod([list(g1), list(g2)], p) == 2
 
 
-def _validate(data: PencilData, p: int, allow_lambda_collisions: bool) -> list[tuple[int, int]]:
+def _validate(data: PencilData, p: int) -> list[tuple[int, int]]:
+    """Rejects a reduction the scans cannot run on and returns the index
+    pairs of weights that collide mod p, for the caller to label."""
     if p == 2:
         raise DegenerateReductionError("in characteristic 2 every quadric gradient vanishes")
     if not _forms_independent(data.g1, data.g2, p):
@@ -165,13 +151,7 @@ def _validate(data: PencilData, p: int, allow_lambda_collisions: bool) -> list[t
             f"the two linear forms are dependent mod {p}; "
             "choose a different pair or another prime"
         )
-    collisions = _lambda_collisions(data.lambdas, p)
-    if collisions and not allow_lambda_collisions:
-        raise DegenerateReductionError(
-            f"diagonal weights collide mod {p} at index pairs {collisions}; "
-            "retry with a larger prime or pass allow_lambda_collisions=True"
-        )
-    return collisions
+    return _lambda_collisions(data.lambdas, p)
 
 
 def _square_roots(p: int) -> list[list[int]]:
@@ -232,12 +212,7 @@ def _equation_hashes(data: PencilData) -> dict[str, str]:
     return {name: poly.content_hash() for name, poly in data.polys().items()}
 
 
-def singular_locus_check(
-    data: PencilData,
-    p: int,
-    allow_lambda_collisions: bool = False,
-    budget: int = DEFAULT_BUDGET,
-) -> dict:
+def singular_locus_check(data: PencilData, p: int) -> dict:
     """Compare the rank-deficient locus of the total space with the base
     locus, fiber by fiber over every t in F_p.
 
@@ -245,8 +220,7 @@ def singular_locus_check(
     t != 0 rank-deficient points are possible for unlucky reductions and
     are reported as statistics only.
     """
-    collisions = _validate(data, p, allow_lambda_collisions)
-    _check_budget(data.m + 3, p, budget)
+    collisions = _validate(data, p)
     n = data.m + 3
     lam2 = [2 * v for v in data.lambdas]
     a, b = data.g1, data.g2
@@ -334,19 +308,13 @@ def _chart_g2_solutions(a: int, b: int, c: int, p: int) -> list[tuple[int, int]]
     return [((c * tv) % p, tv) for tv in range(p)]
 
 
-def chart_smoothness_check(
-    data: PencilData,
-    p: int,
-    allow_lambda_collisions: bool = False,
-    budget: int = DEFAULT_BUDGET,
-) -> dict:
+def chart_smoothness_check(data: PencilData, p: int) -> dict:
     """Every F_p point of each blow-up chart must have Jacobian rank 3;
     additionally the divisor must meet transversally (three differentials
     of rank 3) and the blow-up center must be smooth (four differentials
     of rank 4)."""
-    collisions = _validate(data, p, allow_lambda_collisions)
+    collisions = _validate(data, p)
     n = data.m + 3
-    _check_budget(n, p, budget)
     lam2 = [2 * v for v in data.lambdas]
     a, b = data.g1, data.g2
 

@@ -148,12 +148,12 @@ def mv_kernel(m: int) -> list[FiberClass]:
         FiberClass.from_labels(m, {f"z{i}": 1}) for i in range(1, m + 2)
     ]
     gamma = gamma_matrix(m)
-    computed = kernel_basis(gamma)
+    nullity = len(gamma[0]) - rank(gamma)
     for v in named:
         if sum(g * c for g, c in zip(gamma[0], v.coeffs)):
             raise ArithmeticError("named class does not lie in the kernel")
     named_rows = [list(v.coeffs) for v in named]
-    if rank(named_rows) != len(named) or len(named) != len(computed):
+    if rank(named_rows) != len(named) or len(named) != nullity:
         raise ArithmeticError("named classes do not span the kernel")
     return named
 
@@ -191,20 +191,17 @@ class RestrictionMap:
     source_labels: tuple[str, ...]
     target_labels: tuple[str, ...]
 
-    def matrix_rows(self) -> list[list[GaussRational]]:
-        return [list(row) for row in self.matrix]
-
     def kernel(self) -> list[list[GaussRational]]:
-        return kernel_basis(self.matrix_rows())
+        return kernel_basis(self.matrix)
 
     def rank(self) -> int:
-        return rank(self.matrix_rows())
+        return rank(self.matrix)
 
     def is_pairing_preserving(self) -> bool:
         """Hermitian compatibility: conjugate-transpose(M) * G_X * M must
         reproduce the fiber Gram on the kernel basis.  Conjugation makes
         the imaginary-unit columns square to the table's -1 entries."""
-        mt = self.matrix_rows()
+        mt = self.matrix
         gx = [[GaussRational.of(v) for v in row] for row in x_middle_gram(self.m)]
         from .exactmath import mat_mul
 

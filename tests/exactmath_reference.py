@@ -1,5 +1,6 @@
 """Dense congruence diagonalization over Q, kept as the oracle for the
-fraction-free ``twoquadrics.exactmath.gram_diagonalize``.
+fraction-free ``twoquadrics.exactmath.gram_diagonalize``, and the identity
+matrix the tests build on.
 
 ``gram_diagonalize`` here works on Fractions and carries the congruence
 transform along: every symmetric column operation rewrites a full row and
@@ -9,7 +10,9 @@ rule as the library routine, so the two diagonals agree entry for entry.
 
 from fractions import Fraction
 
-from twoquadrics.exactmath import identity
+
+def identity(n):
+    return [[Fraction(i == j) for j in range(n)] for i in range(n)]
 
 
 def gram_diagonalize(g):

@@ -11,13 +11,16 @@ order included.
 from twoquadrics import smoothcheck
 from twoquadrics.exactmath import rank
 from twoquadrics.smoothcheck import (
-    DEFAULT_BUDGET,
     PencilData,
-    _check_budget,
     _equation_hashes,
     _validate,
+    projective_count,
     projective_reps,
 )
+
+
+class BudgetExceededError(RuntimeError):
+    """Raised when an enumeration would touch more points than its budget."""
 
 
 class Poly(smoothcheck.Poly):
@@ -88,12 +91,13 @@ EVIDENCE_NOTE = (
 )
 
 
-def enumerate_points(system, p: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
+def enumerate_points(system, p: int, budget: int = 2_000_000) -> list[tuple[int, ...]]:
     """All projective F_p points satisfying every polynomial in the system."""
     nvars = system[0].nvars
     if any(poly.nvars != nvars for poly in system):
         raise ValueError("system polynomials disagree on the variable count")
-    _check_budget(nvars, p, budget)
+    if projective_count(nvars, p) > budget:
+        raise BudgetExceededError(f"more than {budget} projective points")
     return [
         pt
         for pt in projective_reps(nvars, p)
@@ -134,10 +138,8 @@ def total_space(data: PencilData) -> list[Poly]:
     return [f["f1"], Poly.variable(n, n + 1) * f["f2"] + f["g1"] * f["g2"]]
 
 
-def singular_locus_check(
-    data: PencilData, p: int, allow_lambda_collisions: bool = False
-) -> dict:
-    collisions = _validate(data, p, allow_lambda_collisions)
+def singular_locus_check(data: PencilData, p: int) -> dict:
+    collisions = _validate(data, p)
     system = total_space(data)
     base = data.polys()
     scanned = 0
@@ -189,8 +191,8 @@ def singular_locus_check(
     }
 
 
-def chart_smoothness_check(data: PencilData, p: int, allow_lambda_collisions: bool = False) -> dict:
-    collisions = _validate(data, p, allow_lambda_collisions)
+def chart_smoothness_check(data: PencilData, p: int) -> dict:
+    collisions = _validate(data, p)
     n = data.m + 3
     charts = chart_systems(data)
     base = data.polys()

@@ -128,8 +128,8 @@ def test_criterion_08_smoothness_scans():
     ok = True
     for p in (5, 7):
         start = time.monotonic()
-        locus = singular_locus_check(data, p, allow_lambda_collisions=True)
-        charts = chart_smoothness_check(data, p, allow_lambda_collisions=True)
+        locus = singular_locus_check(data, p)
+        charts = chart_smoothness_check(data, p)
         elapsed = time.monotonic() - start
         ok = ok and locus["t_zero"]["sets_equal"]
         ok = ok and not charts["chart_rank_failures"]

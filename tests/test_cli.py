@@ -1,10 +1,11 @@
 import hashlib
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
-from twoquadrics import cli, smoothcheck
+from twoquadrics import cli, smoothcheck, specialfiber
 from twoquadrics.cli import (
     EXIT_CONFIG,
     EXIT_DISCREPANCY,
@@ -80,6 +81,13 @@ def test_internal_value_error_is_not_a_config_error(monkeypatch):
     monkeypatch.setitem(cli._RUNNERS, "euler", broken)
     with pytest.raises(ValueError, match="does not satisfy"):
         main(["euler", "--m", "4"])
+
+
+def test_failing_fiber_kernel_is_an_internal_error_not_a_report(monkeypatch):
+    # a gamma that kills none of the named classes: mv_kernel raises
+    monkeypatch.setattr(specialfiber, "gamma_matrix", lambda m: [[Fraction(1)] * (m + 6)])
+    with pytest.raises(ArithmeticError, match="does not lie in the kernel"):
+        main(["fiber", "--m", "4"])
 
 
 def test_unknown_section_is_config_error(capsys):
@@ -180,8 +188,8 @@ def test_colliding_weights_are_labelled_degenerate_and_inconclusive(capsys):
 def test_colliding_prime_is_not_evidence_either_way(capsys, monkeypatch):
     real = smoothcheck.singular_locus_check
 
-    def failing_at_3(data, p, **kwargs):
-        report = real(data, p, **kwargs)
+    def failing_at_3(data, p):
+        report = real(data, p)
         return {**report, "ok": report["ok"] and p != 3}
 
     monkeypatch.setattr(smoothcheck, "singular_locus_check", failing_at_3)

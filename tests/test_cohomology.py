@@ -2,8 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from exactmath_reference import identity
+from twoquadrics import cli, cohomology
 from twoquadrics.cohomology import (
-    integral_basis_matrix,
+    _omega_in_integral_coords,
+    _pairings_with_omega,
+    _zeta_minus_one,
     integral_gram,
     integral_gram_det,
     lattice_index,
@@ -15,11 +19,26 @@ from twoquadrics.exactmath import (
     det,
     gram_diagonalize,
     mat_mul,
+    mat_vec,
     rank,
     signature,
     smith_normal_form,
+    solve_exact,
     transpose,
 )
+
+
+def integral_basis_matrix(m):
+    """Columns express zeta_{-1}, zeta_0 .. zeta_{m+2} in the (omega,
+    zeta_i) coordinates, built from (m+1)*zeta = (m/2+1)*omega - sum(zeta_i)
+    and zeta_{-1} = 2*zeta - omega."""
+    cols = identity(m + 4)
+    zeta = [Fraction(m // 2 + 1, m + 1)] + [Fraction(-1, m + 1)] * (m + 3)
+    first = [2 * c for c in zeta]
+    first[0] -= 1
+    for row, x in zip(cols, first):
+        row[0] = x
+    return cols
 
 
 def test_gram_entries_dimension_four():
@@ -54,12 +73,10 @@ def test_odd_dimension_rejected():
 
 
 def test_integral_basis_expresses_plane_class():
-    m = 4
-    c = integral_basis_matrix(m)
-    # first column is 2*zeta - omega with (m+1)*zeta = 3*omega - sum(zeta_i)
-    first = [row[0] for row in c]
-    assert first[0] == Fraction(2 * (m // 2 + 1), m + 1) - 1
-    assert all(x == Fraction(-2, m + 1) for x in first[1:])
+    # 2*zeta - omega with (m+1)*zeta = 3*omega - sum(zeta_i) at m = 4
+    assert _zeta_minus_one(4) == [Fraction(1, 5)] + [Fraction(-2, 5)] * 7
+    for m in range(4, 61, 2):
+        assert _zeta_minus_one(m) == [row[0] for row in integral_basis_matrix(m)], m
 
 
 def test_integral_gram_determinant_closed_form():
@@ -133,8 +150,7 @@ def test_full_lattice_signature_adds_one_positive_direction():
 
 def test_index_matches_inclusion_determinant():
     # the SNF-computed index must agree with |det| of the inclusion
-    from twoquadrics.cohomology import _omega_in_integral_coords
-    from twoquadrics.exactmath import integer_kernel_basis, mat_vec
+    from twoquadrics.exactmath import integer_kernel_basis
 
     for m in (4, 6):
         g = integral_gram(m)
@@ -147,10 +163,31 @@ def test_index_matches_inclusion_determinant():
 
 
 def test_non_integral_omega_coordinates_raise(monkeypatch):
-    from twoquadrics import cohomology
-
-    monkeypatch.setattr(
-        cohomology, "solve_exact", lambda a, b: [Fraction(1, 2)] + [Fraction(0)] * (len(b) - 1)
-    )
+    real = cohomology._zeta_minus_one
+    monkeypatch.setattr(cohomology, "_zeta_minus_one", lambda m: [-x for x in real(m)])
     with pytest.raises(ArithmeticError):
-        cohomology._omega_in_integral_coords(4)
+        _omega_in_integral_coords(4)
+
+
+def test_closed_form_omega_matches_the_solved_system():
+    for m in range(4, 61, 2):
+        solved = solve_exact(integral_basis_matrix(m), [Fraction(1)] + [Fraction(0)] * (m + 3))
+        omega = _omega_in_integral_coords(m)
+        assert omega == solved, m
+        # the pairing row is [-2, 1, ..., 1]: omega . zeta_{-1} = -2
+        row = _pairings_with_omega(m)
+        assert row == mat_vec(integral_gram(m), omega) == [-2] + [1] * (m + 3), m
+
+
+def test_integral_gram_is_built_once_per_section(monkeypatch):
+    calls = []
+    real = cohomology.integral_gram
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(cohomology, "integral_gram", counted)
+    section = cli.run_cohomology({"m": 8})
+    assert section["ok"]
+    assert calls == [8]

@@ -1,10 +1,15 @@
 import pytest
 
 import smoothcheck_reference as reference
-from smoothcheck_reference import Poly, chart_systems, enumerate_points, jacobian_rank
+from smoothcheck_reference import (
+    BudgetExceededError,
+    Poly,
+    chart_systems,
+    enumerate_points,
+    jacobian_rank,
+)
 from twoquadrics import smoothcheck
 from twoquadrics.smoothcheck import (
-    BudgetExceededError,
     DegenerateReductionError,
     PencilData,
     _scan_base,
@@ -126,7 +131,7 @@ def test_singular_locus_smoke():
 
 def test_singular_locus_dimension_four_small_prime():
     data = default_pencil(4, primes=(5, 7, 11), seed=0)
-    report = singular_locus_check(data, 5, allow_lambda_collisions=True)
+    report = singular_locus_check(data, 5)
     assert report["ok"]
     assert report["lambda_collisions"] == [(0, 5), (1, 6)]
 
@@ -160,12 +165,11 @@ def test_dependent_forms_detected():
         chart_smoothness_check(data, 5)
 
 
-def test_lambda_collisions_abort_by_default():
+def test_lambda_collisions_are_returned_not_raised():
+    # the scans compute; whether a colliding prime counts is the CLI's call
     data = default_pencil(4, primes=(5, 7, 11), seed=0)
-    with pytest.raises(DegenerateReductionError, match="retry"):
-        singular_locus_check(data, 5)
-    with pytest.raises(DegenerateReductionError, match="retry"):
-        chart_smoothness_check(data, 5)
+    assert singular_locus_check(data, 5)["lambda_collisions"] == [(0, 5), (1, 6)]
+    assert chart_smoothness_check(data, 5)["lambda_collisions"] == [(0, 5), (1, 6)]
 
 
 def test_default_pencil_screens_reductions():
@@ -232,17 +236,17 @@ ORACLE_CASES = [
 
 @pytest.mark.parametrize("data,p", ORACLE_CASES)
 def test_kernel_reports_equal_the_generic_reference(data, p):
-    locus = singular_locus_check(data, p, allow_lambda_collisions=True)
-    charts = chart_smoothness_check(data, p, allow_lambda_collisions=True)
-    assert locus == reference.singular_locus_check(data, p, allow_lambda_collisions=True)
-    assert charts == reference.chart_smoothness_check(data, p, allow_lambda_collisions=True)
+    locus = singular_locus_check(data, p)
+    charts = chart_smoothness_check(data, p)
+    assert locus == reference.singular_locus_check(data, p)
+    assert charts == reference.chart_smoothness_check(data, p)
 
 
 def test_oracle_cases_reach_every_failure_branch():
     reports = [
         (
-            singular_locus_check(data, p, allow_lambda_collisions=True),
-            chart_smoothness_check(data, p, allow_lambda_collisions=True),
+            singular_locus_check(data, p),
+            chart_smoothness_check(data, p),
         )
         for data, p in ORACLE_CASES
     ]
