@@ -172,28 +172,58 @@ def _quadric_count(n: int, p: int) -> int:
     return count
 
 
+def _head_prefixes(nvars: int, p: int):
+    """``projective_reps(nvars, p)`` split at the last coordinate: groups of
+    prefixes with the values z that complete each of them, such that the
+    points ``prefix + (z,)`` come in ``projective_reps`` order."""
+    yield (
+        (0,) * lead + (1,) + tail
+        for lead in range(nvars - 1)
+        for tail in product(range(p), repeat=nvars - 2 - lead)
+    ), range(p)
+    yield [(0,) * (nvars - 1)], (1,)
+
+
 def _scan_base(data: PencilData, p: int):
     """Every point of the quadric f1 = 0 in P^{m+2}(F_p), in
     ``projective_reps`` order, with the values of f1 (zero), f2, g1 and g2.
 
-    The first m+2 coordinates run over ``projective_reps``; the last one is
-    solved from a table of square roots.  The number of points yielded is
-    checked against the closed-form count of the quadric afterwards."""
+    The first m+2 coordinates (the head) run over ``projective_reps``, and
+    the last one is solved from a table of square roots.  The sums of
+    squares, f2, g1 and g2 are computed once per prefix (the head without
+    its last coordinate).  The completions (z, y) of a prefix, its last two
+    coordinates, come from a table indexed by the residue z^2 + y^2 they
+    must add, built once per group of prefixes.  The number of points
+    yielded is checked against the closed-form count of the quadric
+    afterwards."""
     n = data.m + 3
     lam, a, b = data.lambdas, data.g1, data.g2
     roots = _square_roots(p)
     found = 0
-    for head in projective_reps(n - 1, p):
-        squares = list(map(mul, head, head))
-        last = roots[-sum(squares) % p]
-        if not last:
-            continue
-        v2 = sum(map(mul, lam, squares))
-        w1 = sum(map(mul, a, head))
-        w2 = sum(map(mul, b, head))
-        for y in last:
-            found += 1
-            yield head + (y,), 0, (v2 + lam[-1] * y * y) % p, (w1 + a[-1] * y) % p, (w2 + b[-1] * y) % p
+    for prefixes, zs in _head_prefixes(n - 1, p):
+        # completions[r]: the (z, y) with z^2 + y^2 = r, z outer and y
+        # ascending, with their terms of f2, g1 and g2
+        completions = [
+            [
+                (
+                    (z, y),
+                    lam[-2] * z * z + lam[-1] * y * y,
+                    a[-2] * z + a[-1] * y,
+                    b[-2] * z + b[-1] * y,
+                )
+                for z in zs
+                for y in roots[(r - z * z) % p]
+            ]
+            for r in range(p)
+        ]
+        for prefix in prefixes:
+            squares = list(map(mul, prefix, prefix))
+            s2 = sum(map(mul, lam, squares))
+            s3 = sum(map(mul, a, prefix))
+            s4 = sum(map(mul, b, prefix))
+            for zy, t2, t3, t4 in completions[-sum(squares) % p]:
+                found += 1
+                yield prefix + zy, 0, (s2 + t2) % p, (s3 + t3) % p, (s4 + t4) % p
     expected = _quadric_count(n, p)
     if found != expected:
         raise ArithmeticError(
@@ -201,11 +231,22 @@ def _scan_base(data: PencilData, p: int):
         )
 
 
-def _proportional(x, row, cols, j: int, p: int) -> bool:
-    """Whether ``row`` is a multiple of ``x`` on the columns ``cols``,
-    tested by the 2x2 minors against column j, where x[j] != 0."""
+def _minors(x, row, cols, j: int, p: int) -> list[int]:
+    """The 2x2 minors of ``x`` and ``row`` on the columns ``cols`` against
+    column j, where x[j] != 0: all vanish exactly when ``row`` is a
+    multiple of ``x`` on those columns."""
     xj, rj = x[j], row[j]
-    return all((row[i] * xj - rj * x[i]) % p == 0 for i in cols)
+    return [(row[i] * xj - rj * x[i]) % p for i in cols]
+
+
+def _common_roots(alpha, beta, p: int):
+    """The t in F_p with alpha[i]*t + beta[i] = 0 mod p for every i, in
+    ascending order: none, exactly one, or all of them."""
+    i = next((i for i, al in enumerate(alpha) if al % p), None)
+    if i is None:
+        return range(p) if all(be % p == 0 for be in beta) else ()
+    t = -beta[i] * pow(alpha[i], p - 2, p) % p
+    return (t,) if all((al * t + be) % p == 0 for al, be in zip(alpha, beta)) else ()
 
 
 def _equation_hashes(data: PencilData) -> dict[str, str]:
@@ -222,13 +263,14 @@ def singular_locus_check(data: PencilData, p: int) -> dict:
     """
     collisions = _validate(data, p)
     n = data.m + 3
+    cols = range(n)
     lam2 = [2 * v for v in data.lambdas]
     a, b = data.g1, data.g2
 
     on_family = 0
     t_zero_expected: list[tuple[int, ...]] = []
     t_zero_deficient: list[tuple[int, ...]] = []
-    nonzero_t_deficient: list[tuple[int, tuple[int, ...]]] = []
+    nonzero_t_deficient = 0
     for pt, _, v2, w1, w2 in _scan_base(data, p):
         if v2:
             # one fiber, t = -g1*g2/f2, where the t column f2 gives rank 2
@@ -236,21 +278,24 @@ def singular_locus_check(data: PencilData, p: int) -> dict:
             continue
         if w1 and w2:  # f2 = 0 and g1*g2 != 0: on no fiber
             continue
-        lead = pt.index(1)
         on_family += p
-        for t in range(p):
-            # [grad f1, 0] = [2x, 0] is nonzero, so with f2 = 0 the pair is
-            # deficient exactly when [grad F2, 0] is a multiple of it: grad
-            # F2 = c*x, with c read off the lead column, where x is 1
-            grad = [t * l * x + w1 * bi + w2 * ai for l, x, ai, bi in zip(lam2, pt, a, b)]
-            deficient = _proportional(pt, grad, range(n), lead, p)
-            if t == 0:
-                if v2 == 0 and w1 == 0 and w2 == 0:
-                    t_zero_expected.append(pt)
-                if deficient:
-                    t_zero_deficient.append(pt)
-            elif deficient:
-                nonzero_t_deficient.append((t, pt))
+        if not (w1 or w2):
+            t_zero_expected.append(pt)
+        # [grad f1, 0] = [2x, 0] is nonzero, so with f2 = 0 the pair is
+        # deficient exactly when [grad F2, 0] is a multiple of it.  grad F2
+        # = t*grad_t + grad_1 with grad_t = 2*lambda*x and grad_1 = w1*g2 +
+        # w2*g1, so each 2x2 minor against the lead column is linear in t
+        lead = pt.index(1)
+        grad_t = [l * x for l, x in zip(lam2, pt)]
+        grad_1 = [w1 * bi + w2 * ai for ai, bi in zip(a, b)]
+        deficient_t = _common_roots(
+            _minors(pt, grad_t, cols, lead, p), _minors(pt, grad_1, cols, lead, p), p
+        )
+        if 0 in deficient_t:
+            t_zero_deficient.append(pt)
+            nonzero_t_deficient += len(deficient_t) - 1
+        else:
+            nonzero_t_deficient += len(deficient_t)
     expected = set(t_zero_expected)
     deficient = set(t_zero_deficient)
     discrepancies = sorted(expected ^ deficient)
@@ -270,7 +315,7 @@ def singular_locus_check(data: PencilData, p: int) -> dict:
         },
         "t_nonzero": {
             "fibers_checked": p - 1,
-            "rank_deficient_points": len(nonzero_t_deficient),
+            "rank_deficient_points": nonzero_t_deficient,
             "informational": True,
         },
         "evidence_note": (
@@ -279,33 +324,6 @@ def singular_locus_check(data: PencilData, p: int) -> dict:
         ),
         "ok": not discrepancies,
     }
-
-
-def _chart_t_solutions(a: int, b: int, c: int, p: int) -> list[tuple[int, int]]:
-    # equations: a + b*G2 = 0 and t*G2 = c
-    if b % p:
-        g2_values = [(-a * pow(b, p - 2, p)) % p]
-    elif a % p:
-        return []
-    else:
-        g2_values = list(range(p))
-    sols = []
-    for gv in g2_values:
-        if gv:
-            sols.append(((c * pow(gv, p - 2, p)) % p, gv))
-        elif c % p == 0:
-            sols.extend((tv, 0) for tv in range(p))
-    return sols
-
-
-def _chart_g2_solutions(a: int, b: int, c: int, p: int) -> list[tuple[int, int]]:
-    # equations: a*T + b = 0 and t = c*T
-    if a % p:
-        tv = (-b * pow(a, p - 2, p)) % p
-        return [((c * tv) % p, tv)]
-    if b % p:
-        return []
-    return [((c * tv) % p, tv) for tv in range(p)]
 
 
 def chart_smoothness_check(data: PencilData, p: int) -> dict:
@@ -332,36 +350,63 @@ def chart_smoothness_check(data: PencilData, p: int) -> dict:
     # (e is g1 on chart_T, f2 on chart_G2), or the gradient is no multiple
     # of x.
     for pt, _, v2, w1, w2 in _scan_base(data, p):
-        if v2 and w1:
-            # one point on each chart, at G = -f2/g1 != 0 on chart_T, and
-            # both of rank 3; no divisor point
-            chart_points += 2
+        if v2:
+            # chart_T has a point only where g1 != 0, at G = -f2/g1 != 0,
+            # and chart_G2 has one where e = f2 != 0: all of rank 3
+            chart_points += 2 if w1 else 1
+            if w1 or w2:  # no divisor point
+                continue
+        elif w1 and w2:  # f2 = 0 and g1*g2 != 0: on neither chart
             continue
-        lead = pt.index(1)
-        rest = [i for i in range(n) if i != lead]
-        j = next(i for i in rest if pt[i])  # exists, since f1 = 0
-        grad_f2 = [l * x for l, x in zip(lam2, pt)]
-        for t_val, g in _chart_t_solutions(v2, w1, w2, p):
-            chart_points += 1
-            if g:  # G != 0 is left only where f2 = g1 = 0, so e = 0
-                full_rank = not _proportional(
-                    pt, [d + c * g for d, c in zip(grad_f2, a)], rest, j, p
+        else:
+            # f2 = 0 and g1*g2 = 0.  chart_T is g1*G = 0 and t*G = g2;
+            # chart_G2 is g1 = 0 and t = g2*G2.  Each gradient below is
+            # linear in t or in the chart coordinate, and so are its minors
+            # against x: the failing values are solved, not searched
+            lead = pt.index(1)
+            rest = [i for i in range(n) if i != lead]
+            j = next(i for i in rest if pt[i])  # exists, since f1 = 0
+            grad_f2 = [l * x for l, x in zip(lam2, pt)]
+            on_f2 = _minors(pt, grad_f2, rest, j, p)
+            if not w2:
+                # chart_T at G = 0, over every t: the rows are [2x, 0],
+                # [grad f2, g1] and [-g2, t]
+                chart_points += p
+                on_g2 = _minors(pt, b, rest, j, p)
+                if w1:  # t = 0: only the second row has a last entry
+                    t_zero_ok = any(on_g2)
+                else:  # t = 0 at a base point
+                    rows = [
+                        [2 * pt[i] for i in rest],
+                        [grad_f2[i] for i in rest],
+                        [-b[i] for i in rest],
+                    ]
+                    t_zero_ok = _rank_mod(rows, p) == 3
+                if not t_zero_ok:
+                    chart_failures.append(("chart_T", pt + (0, 0)))
+                # t != 0 clears g1 from the second row, which leaves
+                # grad f2 + c*g2 with c = g1/t
+                bad_c = _common_roots(on_g2, on_f2, p)
+                if w1:
+                    bad_t = sorted(w1 * pow(c, p - 2, p) % p for c in bad_c if c)
+                else:
+                    bad_t = range(1, p) if 0 in bad_c else ()
+                chart_failures.extend(("chart_T", pt + (t_val, 0)) for t_val in bad_t)
+            if not w1:
+                # chart_T at G = g != 0, t = g2/g, and chart_G2 at G2 = g,
+                # t = g2*g: e = g1 = 0, so rank 3 means the gradient of the
+                # second equation, grad f2 + g*g1 or g*grad f2 + g1, is no
+                # multiple of x
+                chart_points += 2 * p - 1
+                on_g1 = _minors(pt, a, rest, j, p)
+                chart_failures.extend(
+                    ("chart_T", pt + (w2 * pow(g, p - 2, p) % p, g))
+                    for g in _common_roots(on_g1, on_f2, p)
+                    if g
                 )
-            else:
-                rows = [
-                    [2 * pt[i] for i in rest] + [0, 0],
-                    [grad_f2[i] for i in rest] + [0, w1],
-                    [-b[i] for i in rest] + [0, t_val],
-                ]
-                full_rank = _rank_mod(rows, p) == 3
-            if not full_rank:
-                chart_failures.append(("chart_T", pt + (t_val, g)))
-        for t_val, g in _chart_g2_solutions(v2, w1, w2, p):
-            chart_points += 1
-            if not v2 and _proportional(
-                pt, [g * d + c for d, c in zip(grad_f2, a)], rest, j, p
-            ):
-                chart_failures.append(("chart_G2", pt + (t_val, g)))
+                chart_failures.extend(
+                    ("chart_G2", pt + (w2 * g % p, g)) for g in _common_roots(on_f2, on_g1, p)
+                )
         if w1 == 0 and w2 == 0:
             divisor_points += 1
             rows = [[2 * x for x in pt], list(a), list(b)]
@@ -404,14 +449,24 @@ def chart_smoothness_check(data: PencilData, p: int) -> dict:
 def _center_singular_mod(m, lambdas, g1, g2, p: int) -> bool:
     """Whether the blow-up center {f1 = f2 = g1 = g2 = 0} is singular mod
     p, checked directly on the codimension-two linear subspace cut out by
-    the forms."""
-    span = kernel_basis([list(g1), list(g2)], p)
-    n = m + 3
+    the forms.
+
+    Each kernel vector has 1 at its own free column and 0 at the other
+    free columns, so a point's free coordinates are y itself and only the
+    two pivot coordinates need a dot product."""
+    forms = [list(g1), list(g2)]
+    _, pivots = echelon(forms, p)
+    span = kernel_basis(forms, p)
+    free = [i for i in range(m + 3) if i not in pivots]
+    pivot_rows = [(c, [v[c] for v in span]) for c in pivots]
     for y in projective_reps(len(span), p):
-        x = [sum(span[j][i] * y[j] for j in range(len(span))) % p for i in range(n)]
-        if sum(v * v for v in x) % p:
-            continue
-        if sum(lam * v * v for lam, v in zip(lambdas, x)) % p:
+        x = [0] * (m + 3)
+        for i, v in zip(free, y):
+            x[i] = v
+        for c, row in pivot_rows:
+            x[c] = sum(map(mul, row, y)) % p
+        squares = list(map(mul, x, x))
+        if sum(squares) % p or sum(map(mul, lambdas, squares)) % p:
             continue
         rows = [
             [2 * v % p for v in x],

@@ -9,7 +9,7 @@ order included.
 """
 
 from twoquadrics import smoothcheck
-from twoquadrics.exactmath import rank
+from twoquadrics.exactmath import kernel_basis, rank
 from twoquadrics.smoothcheck import (
     PencilData,
     _equation_hashes,
@@ -240,3 +240,26 @@ def chart_smoothness_check(data: PencilData, p: int) -> dict:
         "evidence_note": EVIDENCE_NOTE,
         "ok": not (chart_failures or divisor_failures or center_failures),
     }
+
+
+def center_singular_mod(m, lambdas, g1, g2, p: int) -> bool:
+    """Whether the blow-up center {f1 = f2 = g1 = g2 = 0} is singular mod
+    p, with every point of the subspace cut out by the forms computed as a
+    dense combination of a kernel basis."""
+    span = kernel_basis([list(g1), list(g2)], p)
+    n = m + 3
+    for y in projective_reps(len(span), p):
+        x = [sum(span[j][i] * y[j] for j in range(len(span))) % p for i in range(n)]
+        if sum(v * v for v in x) % p:
+            continue
+        if sum(lam * v * v for lam, v in zip(lambdas, x)) % p:
+            continue
+        rows = [
+            [2 * v % p for v in x],
+            [2 * lam * v % p for lam, v in zip(lambdas, x)],
+            list(g1),
+            list(g2),
+        ]
+        if rank(rows, p) != 4:
+            return True
+    return False

@@ -281,6 +281,16 @@ SCAN_JSON_SHA256 = {
         EXIT_INCONCLUSIVE,
         "219e79dffe41831598cc3656d61652932e472b47fa04336a7fa5b18141d60afd",
     ),
+    # singular total spaces at t != 0: every chart failure is a chart_T point
+    # at G = 0 and t != 0, where the failing t are solved in closed form
+    ("smoothness", "--m", "4", "--primes", "7", "--seed", "7"): (
+        EXIT_DISCREPANCY,
+        "bc325301362d24ffe56993f10689bb3b6b036d053ee622493e6321e52c0db276",
+    ),
+    ("smoothness", "--m", "4", "--primes", "11", "--seed", "2"): (
+        EXIT_DISCREPANCY,
+        "033b09acaf3774f12ab9212b1ad6b42025654f502c9bf7a8b28fb2351e784dcb",
+    ),
 }
 
 

@@ -1,3 +1,6 @@
+from operator import mul
+from random import Random
+
 import pytest
 
 import smoothcheck_reference as reference
@@ -12,6 +15,8 @@ from twoquadrics import smoothcheck
 from twoquadrics.smoothcheck import (
     DegenerateReductionError,
     PencilData,
+    _center_singular_mod,
+    _forms_independent,
     _scan_base,
     chart_smoothness_check,
     default_pencil,
@@ -254,9 +259,17 @@ def test_oracle_cases_reach_every_failure_branch():
     assert any(locus["t_nonzero"]["rank_deficient_points"] for locus, _ in reports)
     failures = [f for _, charts in reports for f in charts["chart_rank_failures"]]
     assert {name for name, _ in failures} == {"chart_T", "chart_G2"}
-    # the chart coordinate comes last in a chart point
-    assert any(name == "chart_T" and pt[-1] == 0 for name, pt in failures)
+    # the chart coordinate comes last in a chart point, after t
     assert any(name == "chart_T" and pt[-1] != 0 for name, pt in failures)
+    # chart_T at G = 0 is solved in closed form in three cases: t != 0,
+    # t = 0 with g1 != 0, and t = 0 at a base point
+    g_zero_cases = {
+        "t != 0" if pt[-2] else "g1 != 0" if sum(map(mul, data.g1, pt[:-2])) % p else "base point"
+        for (data, p), (_, charts) in zip(ORACLE_CASES, reports)
+        for name, pt in charts["chart_rank_failures"]
+        if name == "chart_T" and pt[-1] == 0
+    }
+    assert g_zero_cases == {"t != 0", "g1 != 0", "base point"}
     assert any(charts["divisor_rank_failures"] for _, charts in reports)
     assert any(charts["center_rank_failures"] for _, charts in reports)
 
@@ -267,3 +280,22 @@ def test_characteristic_two_is_rejected():
         singular_locus_check(data, 2)
     with pytest.raises(DegenerateReductionError, match="characteristic 2"):
         chart_smoothness_check(data, 2)
+
+
+@pytest.mark.parametrize(
+    "m,p,draws", [(2, 5, 12), (2, 7, 12), (2, 11, 12), (4, 5, 6), (4, 7, 6), (4, 11, 4)]
+)
+def test_center_screen_equals_the_dense_reference(m, p, draws):
+    # seeded forms mod p; the draws include singular and smooth centers
+    n = m + 3
+    lambdas = tuple(range(n))
+    verdicts = []
+    for seed in range(draws):
+        rng = Random(seed)
+        g1, g2 = (tuple(rng.randrange(p) for _ in range(n)) for _ in range(2))
+        if not _forms_independent(g1, g2, p):
+            continue
+        verdict = _center_singular_mod(m, lambdas, g1, g2, p)
+        assert verdict == reference.center_singular_mod(m, lambdas, g1, g2, p), (seed, g1, g2)
+        verdicts.append(verdict)
+    assert set(verdicts) == {True, False}
