@@ -2,13 +2,13 @@
 
 Scalars are plain ``int`` and ``fractions.Fraction``; Gaussian rationals get
 a small dataclass.  Matrices are row-major lists of lists holding every
-entry, zeros included; ``mat_mul`` skips the zero entries, so a product
-with a sparse factor costs about one step per nonzero pair.  The
-determinant and the congruence diagonal of a rational matrix are computed
-fraction-free: the matrix is scaled to integers and Bareiss elimination
-keeps every intermediate value an integer.  All pivot choices are the
-lowest admissible index, so every routine is deterministic and its output
-reproducible bit for bit.
+entry, zeros included; ``mat_mul`` and back-substitution skip the zero
+entries, so a product with a sparse factor costs about one step per
+nonzero pair.  The determinant and the congruence diagonal of a rational
+matrix are computed fraction-free: the matrix is scaled to integers and
+Bareiss elimination keeps every intermediate value an integer.  All pivot
+choices are the lowest admissible index, so every routine is deterministic
+and its output reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class GaussRational:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = GaussRational.of(other)
+            return not self.im and self.re == other
         if not isinstance(other, GaussRational):
             return NotImplemented
         return self.re == other.re and self.im == other.im
@@ -127,8 +127,9 @@ def mat_vec(a, v):
 
 
 def conjugate_transpose(a: list[list[GaussRational]]) -> list[list[GaussRational]]:
-    return [[GaussRational.of(a[i][j]).conjugate() for i in range(len(a))]
-            for j in range(len(a[0]))]
+    """Zero entries are carried over, not conjugated."""
+    return [[x.conjugate() if x else x for x in map(GaussRational.of, col)]
+            for col in zip(*a)]
 
 
 def _check_rect(m) -> tuple[int, int]:
@@ -151,12 +152,12 @@ def det(m: Mat) -> Fraction:
     n = rows
     if n == 0:
         return Fraction(1)
-    scale = Fraction(1)
+    scale = 1
     work: list[list[int]] = []
     for row in m:
-        mult = lcm(*(Fraction(x).denominator for x in row))
+        mult = lcm(*(x.denominator for x in row))
         scale *= mult
-        work.append([int(Fraction(x) * mult) for x in row])
+        work.append([x.numerator * (mult // x.denominator) for x in row])
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -166,12 +167,13 @@ def det(m: Mat) -> Fraction:
         if pivot_row != k:
             work[k], work[pivot_row] = work[pivot_row], work[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // prev
-            work[i][k] = 0
-        prev = work[k][k]
-    return Fraction(sign * work[n - 1][n - 1]) / scale
+        top = work[k][k + 1 :]
+        p = work[k][k]
+        for row in work[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = [(x * p - f * y) // prev for x, y in zip(row[k + 1 :], top)]
+        prev = p
+    return Fraction(sign * work[n - 1][n - 1], scale)
 
 
 def echelon(m, p=None):
@@ -223,7 +225,7 @@ def _back_substitute(work, pivots, x, p=None):
     annihilates it; the other coordinates stay as given."""
     zero = x[0] - x[0]
     for row, c in zip(reversed(work[: len(pivots)]), reversed(pivots)):
-        s = -sum((row[j] * x[j] for j in range(c + 1, len(x))), zero)
+        s = -sum((row[j] * x[j] for j in range(c + 1, len(x)) if row[j]), zero)
         x[c] = s / row[c] if p is None else s * pow(row[c], p - 2, p) % p
     return x
 
@@ -364,8 +366,8 @@ def gram_diagonalize(g: Mat) -> list[Fraction]:
         for j in range(i + 1, n):
             if g[i][j] != g[j][i]:
                 raise ValueError("gram matrix must be symmetric")
-    s = lcm(*(Fraction(x).denominator for row in g for x in row))
-    a = [[int(Fraction(x) * s) for x in row] for row in g]
+    s = lcm(*(x.denominator for row in g for x in row))
+    a = [[x.numerator * (s // x.denominator) for x in row] for row in g]
     diag = [Fraction(0)] * n
     prev = 1
     for k in range(n):

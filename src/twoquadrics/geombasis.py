@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 
 @dataclass(frozen=True)
@@ -44,21 +44,31 @@ def default_config(m: int) -> LambdaConfig:
     return LambdaConfig(tuple(Fraction(i) for i in range(m + 3)))
 
 
+def _cleared(values) -> tuple[int, list[int]]:
+    """(d, [v*d for each v]), d the lcm of the denominators of the values."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 def lagrange_weights(cfg: LambdaConfig) -> tuple[Fraction, ...]:
-    """Exact barycentric weights 1/prod_{j != i}(lambda_i - lambda_j)."""
-    weights = []
-    for i, li in enumerate(cfg.lambdas):
-        denom = Fraction(1)
-        for j, lj in enumerate(cfg.lambdas):
-            if j != i:
-                denom *= li - lj
-        weights.append(1 / denom)
-    return tuple(weights)
+    """Exact barycentric weights 1/prod_{j != i}(lambda_i - lambda_j),
+    taken in integers as b^(n-1)/prod_{j != i}(a_i - a_j), with b the lcm
+    of the node denominators and a_i = lambda_i*b."""
+    b, nodes = _cleared(cfg.lambdas)
+    top = b ** (len(nodes) - 1)
+    return tuple(
+        Fraction(top, prod(ai - aj for j, aj in enumerate(nodes) if j != i))
+        for i, ai in enumerate(nodes)
+    )
 
 
 def power_sum(cfg: LambdaConfig, p: int) -> Fraction:
-    """sum_i lambda_i^p * c_i; zero through degree m+1 and one at m+2."""
-    return sum((li**p * c for li, c in zip(cfg.lambdas, cfg.weights)), Fraction(0))
+    """sum_i lambda_i^p * c_i; zero through degree m+1 and one at m+2.
+    Summed in integers as sum_i a_i^p * W_i / (b^p * L), W_i = c_i*L, from
+    the weights ``cfg`` holds at the call."""
+    b, nodes = _cleared(cfg.lambdas)
+    scale, weights = _cleared(cfg.weights)
+    return Fraction(sum(a**p * w for a, w in zip(nodes, weights)), b**p * scale)
 
 
 def verify_points_on_quadrics(cfg: LambdaConfig) -> bool:
@@ -82,8 +92,8 @@ def verify_plane_in_x(cfg: LambdaConfig, trials: int = 100, seed: int = 0) -> bo
     are taken in integers, times a nonzero constant: with b the lcm of the
     node denominators, a_i = lambda_i*b, and the denominators of q cleared
     to Q, H_i = sum_k Q_k a_i^k b^(deg-k) is a multiple of q(lambda_i)
-    that is the same for every i, and the weights c_i and c_i*lambda_i are
-    scaled by one common L to integers W1_i and W2_i.
+    that is the same for every i.  The weights c_i are scaled by L to
+    integers W1_i, and W2_i = W1_i*a_i is c_i*lambda_i scaled by L*b.
     """
     if cfg.m < 0 or cfg.m % 2:
         raise ValueError("even dimension required")
@@ -91,13 +101,10 @@ def verify_plane_in_x(cfg: LambdaConfig, trials: int = 100, seed: int = 0) -> bo
         raise ValueError("trials must be positive")
     rng = random.Random(seed)
     degree = cfg.m // 2
-    b = lcm(*(li.denominator for li in cfg.lambdas))
-    nodes = [int(li * b) for li in cfg.lambdas]
+    b, nodes = _cleared(cfg.lambdas)
     b_powers = [b**e for e in range(degree + 1)]
-    second_weights = [c * li for li, c in zip(cfg.lambdas, cfg.weights)]
-    scale = lcm(*(w.denominator for w in cfg.weights + tuple(second_weights)))
-    w1 = [int(c * scale) for c in cfg.weights]
-    w2 = [int(c * scale) for c in second_weights]
+    _, w1 = _cleared(cfg.weights)
+    w2 = [w * a for w, a in zip(w1, nodes)]
     for _ in range(trials):
         q = [
             Fraction(rng.randint(-9, 9), rng.randint(1, 9))

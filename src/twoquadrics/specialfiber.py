@@ -74,12 +74,19 @@ class FiberClass:
 
     @staticmethod
     def from_labels(m: int, assignment: dict[str, object]) -> "FiberClass":
+        """Only the assigned coefficients are built; every other label
+        shares one zero."""
         labels = fiber_basis_labels(m)
         unknown = set(assignment) - set(labels)
         if unknown:
             raise ValueError(f"unknown labels {sorted(unknown)}")
-        return FiberClass.from_coeffs(
-            m, [assignment.get(lbl, 0) for lbl in labels]
+        zero = Fraction(0)
+        return FiberClass(
+            m,
+            tuple(
+                Fraction(assignment[lbl]) if lbl in assignment else zero
+                for lbl in labels
+            ),
         )
 
 
@@ -119,17 +126,6 @@ def pairing_diagonal(m: int) -> list[int]:
     ] + [-t.z_self] * (m + 1)  # z_i
 
 
-def fiber_pairing(x: FiberClass, y: FiberClass) -> Fraction:
-    """Bilinear extension of the component top-intersection table."""
-    if x.m != y.m:
-        raise ValueError("dimension mismatch")
-    acc = Fraction(0)
-    for xi, yi, d in zip(x.coeffs, y.coeffs, pairing_diagonal(x.m)):
-        if xi and yi:
-            acc += xi * yi * d
-    return acc
-
-
 def mv_kernel_labels(m: int) -> tuple[str, ...]:
     return ("h1+h2", "h1+hz-h2", "beta", "theta") + tuple(
         f"z{i}" for i in range(1, m + 2)
@@ -149,8 +145,9 @@ def mv_kernel(m: int) -> list[FiberClass]:
     ]
     gamma = gamma_matrix(m)
     nullity = len(gamma[0]) - rank(gamma)
+    support = [(k, g) for k, g in enumerate(gamma[0]) if g]
     for v in named:
-        if sum(g * c for g, c in zip(gamma[0], v.coeffs)):
+        if sum(g * v.coeffs[k] for k, g in support):
             raise ArithmeticError("named class does not lie in the kernel")
     named_rows = [list(v.coeffs) for v in named]
     if rank(named_rows) != len(named) or len(named) != nullity:
@@ -159,9 +156,24 @@ def mv_kernel(m: int) -> list[FiberClass]:
 
 
 def fiber_gram_on_kernel(m: int) -> Mat:
-    """Pairing matrix restricted to the named kernel basis."""
+    """Pairing matrix restricted to the named kernel basis.
+
+    The pairing is diagonal, so coordinate k adds x_k * y_k * d_k to the
+    entry of each two classes x, y that are both nonzero at k.  That is one
+    product per such pair, linear in m in all: only the coordinates h1 and
+    h2 are nonzero on more than one named class.
+    """
     basis = mv_kernel(m)
-    return [[fiber_pairing(x, y) for y in basis] for x in basis]
+    n = len(basis)
+    zero = Fraction(0)
+    gram = [[zero] * n for _ in range(n)]
+    for k, d in enumerate(pairing_diagonal(m)):
+        support = [(i, v.coeffs[k]) for i, v in enumerate(basis) if v.coeffs[k]]
+        for i, x in support:
+            row = gram[i]
+            for j, y in support:
+                row[j] += x * y * d
+    return gram
 
 
 def x_basis_labels(m: int) -> tuple[str, ...]:
@@ -200,19 +212,18 @@ class RestrictionMap:
     def is_pairing_preserving(self) -> bool:
         """Hermitian compatibility: conjugate-transpose(M) * G_X * M must
         reproduce the fiber Gram on the kernel basis.  Conjugation makes
-        the imaginary-unit columns square to the table's -1 entries."""
+        the imaginary-unit columns square to the table's -1 entries.  The
+        Gaussian entries compare to the rational Gram as they stand."""
         mt = self.matrix
-        gx = [[GaussRational.of(v) for v in row] for row in x_middle_gram(self.m)]
+        zero = GaussRational.of(0)
+        gx = [
+            [GaussRational.of(v) if v else zero for v in row]
+            for row in x_middle_gram(self.m)
+        ]
         from .exactmath import mat_mul
 
         lhs = mat_mul(conjugate_transpose(mt), mat_mul(gx, mt))
-        target = fiber_gram_on_kernel(self.m)
-        n = len(target)
-        return all(
-            GaussRational.of(lhs[i][j]) == GaussRational.of(target[i][j])
-            for i in range(n)
-            for j in range(n)
-        )
+        return lhs == fiber_gram_on_kernel(self.m)
 
 
 def restriction_map(m: int) -> RestrictionMap:

@@ -1,13 +1,31 @@
-"""The plane check in Fractions, kept as the oracle for the integer route
-of ``twoquadrics.geombasis.verify_plane_in_x``.
+"""The weights, power sums and plane check in Fractions, kept as the
+oracles for the integer routes of ``twoquadrics.geombasis``.
 
-It draws the same random parametrizations from the same seed and evaluates
+``lagrange_weights`` multiplies out 1/prod_{j != i}(lambda_i - lambda_j) and
+``power_sum`` adds lambda_i^p * c_i term by term, reading the weights from
+the config as the library does.  ``verify_plane_in_x`` draws the same
+random parametrizations from the same seed and evaluates
 sum_i c_i q(lambda_i)^2 and sum_i c_i lambda_i q(lambda_i)^2 directly, by
 Horner's rule in Fractions at every node.
 """
 
 import random
 from fractions import Fraction
+
+
+def lagrange_weights(cfg):
+    weights = []
+    for i, li in enumerate(cfg.lambdas):
+        denom = Fraction(1)
+        for j, lj in enumerate(cfg.lambdas):
+            if j != i:
+                denom *= li - lj
+        weights.append(1 / denom)
+    return tuple(weights)
+
+
+def power_sum(cfg, p):
+    return sum((li**p * c for li, c in zip(cfg.lambdas, cfg.weights)), Fraction(0))
 
 
 def _eval_poly(coeffs, x):

@@ -62,11 +62,30 @@ def test_det_rejects_non_square():
         det([[frac(1), frac(2)]])
 
 
+def _random_mixed_matrix(rng, n, fractions):
+    """Entries are ints, or ints and Fractions mixed when ``fractions``."""
+    return [
+        [
+            Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            if fractions and rng.random() < 0.5
+            else rng.randint(-6, 6)
+            for _ in range(n)
+        ]
+        for _ in range(n)
+    ]
+
+
 def test_det_against_cofactor_oracle():
     rng = random.Random(7)
     for _ in range(40):
         m = _random_matrix(rng, rng.randint(1, 5))
         assert det(m) == _laplace_det(m)
+    for fractions in (False, True):
+        for _ in range(40):
+            m = _random_mixed_matrix(rng, rng.randint(1, 5), fractions)
+            value = det(m)
+            assert value == _laplace_det(m), m
+            assert type(value) is Fraction
 
 
 def test_det_nonzero_iff_full_rank():
@@ -255,6 +274,18 @@ def test_gram_diagonalize_matches_dense_oracle():
         folds += zero_diagonal and any(any(row) for row in g)
     # the all-zero diagonals send the first step through the fold branch
     assert folds > 250
+    # ints only, and ints mixed with Fractions
+    for fractions in (False, True):
+        for trial in range(200):
+            g = _random_mixed_matrix(rng, rng.randint(1, 6), fractions)
+            for i in range(len(g)):
+                if trial % 4 == 0:
+                    g[i][i] = 0
+                for j in range(i):
+                    g[i][j] = g[j][i]
+            diag = gram_diagonalize(g)
+            assert diag == reference.gram_diagonalize(g)[0], g
+            assert all(type(d) is Fraction for d in diag)
 
 
 def _primitive_gram_closed_form(m):
@@ -351,6 +382,49 @@ def test_gauss_rational_arithmetic():
     assert not GaussRational()
     with pytest.raises(ZeroDivisionError):
         x / GaussRational()
+
+
+def test_gauss_rational_equals_a_rational_only_when_real():
+    for value in (0, 3, -2, Fraction(0), Fraction(1, 2), Fraction(-7, 3)):
+        real = GaussRational.of(value)
+        assert real == value and value == real
+        assert not real != value
+        assert real != value + 1 and value + 1 != real
+        tilted = GaussRational(Fraction(value), Fraction(1, 5))
+        assert tilted != value and value != tilted
+    assert GaussRational(1, 1) != 1
+    assert IMAG_UNIT != 0 and GaussRational() == 0 and GaussRational() == Fraction(0)
+    assert all(type(GaussRational(1, k) == 1) is bool for k in (0, 1))
+
+
+def test_kernel_over_gauss_rationals_of_a_matrix_without_zeros():
+    g, f = GaussRational, Fraction
+    m = [
+        [g(f(1), f(2)), g(f(-3), f(1)), g(f(1, 2), f(-1)), g(f(2), f(5)), g(f(-1), f(-1))],
+        [g(f(4), f(-1)), g(f(1, 3), f(1)), g(f(-2), f(3)), g(f(1), f(1)), g(f(3), f(1, 2))],
+        [g(f(-1), f(1)), g(f(2), f(-2)), g(f(5), f(1)), g(f(-1, 2), f(3)), g(f(1), f(-4))],
+    ]
+    assert all(x.re and x.im for row in m for x in row)
+    one, zero = GaussRational.of(1), GaussRational.of(0)
+    # the basis the dense back-substitution gives, pinned
+    assert kernel_basis(m) == [
+        [
+            g(f(-185375, 219332), f(-90589, 219332)),
+            g(f(-4119, 54833), f(227559, 219332)),
+            g(f(-38400, 54833), f(-44884, 54833)),
+            one,
+            zero,
+        ],
+        [
+            g(f(-6148, 54833), f(12668, 54833)),
+            g(f(-23853, 219332), f(-58947, 219332)),
+            g(f(8505, 54833), f(49438, 54833)),
+            zero,
+            one,
+        ],
+    ]
+    for v in kernel_basis(m):
+        assert all(sum((r * x for r, x in zip(row, v)), zero) == 0 for row in m)
 
 
 def test_rank_and_kernel_over_gauss_rationals():

@@ -119,6 +119,26 @@ def test_plane_check_matches_fraction_oracle():
             assert reference.verify_plane_in_x(cfg, trials=8, seed=seed)
 
 
+def test_integer_weights_and_power_sums_match_fraction_oracle():
+    rng = random.Random(67)
+    configs = [_random_rational_config(rng, m) for m in (2, 4, 6, 8) for _ in range(6)]
+    configs += [default_config(m) for m in range(0, 41)]
+    for cfg in configs:
+        weights = lagrange_weights(cfg)
+        assert weights == reference.lagrange_weights(cfg) == cfg.weights
+        assert all(type(c) is Fraction for c in weights)
+        for p in range(cfg.m + 5):
+            value = power_sum(cfg, p)
+            assert value == reference.power_sum(cfg, p), (cfg, p)
+            assert type(value) is Fraction
+    # both routes read the weights from the config at call time
+    cfg = configs[0]
+    object.__setattr__(cfg, "weights", cfg.weights[:-1] + (cfg.weights[-1] + Fraction(1, 7),))
+    assert power_sum(cfg, 0) == Fraction(1, 7)
+    for p in range(cfg.m + 5):
+        assert power_sum(cfg, p) == reference.power_sum(cfg, p)
+
+
 def test_plane_check_rejects_a_perturbed_weight():
     rng = random.Random(59)
     for m in (2, 4, 6, 8):
