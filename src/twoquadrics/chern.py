@@ -3,19 +3,17 @@ via their total Chern class, computed in integers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, prod
 
 
-@dataclass(frozen=True)
 class CIDescriptor:
     """A complete intersection of the given multidegree in P^ambient_dim."""
 
-    ambient_dim: int
-    degrees: tuple[int, ...]
+    __slots__ = ("ambient_dim", "degrees")
 
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
+    def __init__(self, ambient_dim: int, degrees):
+        self.ambient_dim = ambient_dim
+        self.degrees = tuple(int(d) for d in degrees)
         if any(d < 1 for d in self.degrees):
             raise ValueError("degrees must be at least 1")
         if self.m < 0:

@@ -357,10 +357,12 @@ def _config_from_args(args) -> dict:
         raise _UsageError("--m must be even and at least 2")
     lambdas = []
     if args.lambdas:
-        try:
-            lambdas = [Fraction(part) for part in args.lambdas.split(",")]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise _UsageError(f"--lambdas must list rationals: {exc}") from exc
+        for part in args.lambdas.split(","):
+            try:
+                lambdas.append(Fraction(part))
+            except (ValueError, ZeroDivisionError) as exc:
+                entry = part.strip() or "an empty entry"
+                raise _UsageError(f"--lambdas must list rationals: {entry} is not one") from exc
         if len(set(lambdas)) != len(lambdas):
             raise _UsageError("--lambdas must be pairwise distinct")
         if len(lambdas) != args.m + 3:
@@ -371,6 +373,8 @@ def _config_from_args(args) -> dict:
         raise _UsageError(f"--primes must list primes: {exc}") from exc
     if not primes or any(not _is_prime(p) for p in primes):
         raise _UsageError("--primes must list primes")
+    if len(set(primes)) != len(primes):
+        raise _UsageError("--primes must list distinct primes")
     if 2 in primes:
         raise _UsageError(
             "--primes cannot include 2: in characteristic 2 every quadric "
@@ -378,6 +382,8 @@ def _config_from_args(args) -> dict:
         )
     if args.trials < 1:
         raise _UsageError("--trials must be positive")
+    if args.budget < 1:
+        raise _UsageError("--budget must be positive")
     return {
         "m": args.m,
         "lambdas": lambdas,

@@ -1,7 +1,7 @@
 """Exact scalar arithmetic and exact linear algebra over Q, Q(i), F_p and Z.
 
 Scalars are plain ``int`` and ``fractions.Fraction``; Gaussian rationals get
-a small dataclass.  Matrices are row-major lists of lists holding every
+a small class.  Matrices are row-major lists of lists holding every
 entry, zeros included; ``mat_mul`` and back-substitution skip the zero
 entries, so a product with a sparse factor costs about one step per
 nonzero pair.  The determinant and the congruence diagonal of a rational
@@ -13,7 +13,6 @@ and its output reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -21,12 +20,14 @@ Vec = list[Fraction]
 Mat = list[list[Fraction]]
 
 
-@dataclass(frozen=True, eq=False)
 class GaussRational:
     """Gaussian rational re + im*sqrt(-1) with exact components."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
+        self.re = re
+        self.im = im
 
     @staticmethod
     def of(value) -> "GaussRational":

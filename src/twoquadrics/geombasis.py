@@ -12,27 +12,24 @@ at most m+1 and vanish identically.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
 
 
-@dataclass(frozen=True)
 class LambdaConfig:
     """Pairwise distinct nodes, with their interpolation weights computed
     once here for every power sum and plane check on the config."""
 
-    lambdas: tuple[Fraction, ...]
-    weights: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("lambdas", "weights")
 
-    def __post_init__(self):
-        vals = tuple(Fraction(v) for v in self.lambdas)
-        object.__setattr__(self, "lambdas", vals)
+    def __init__(self, lambdas):
+        vals = tuple(Fraction(v) for v in lambdas)
         if len(vals) < 2:
             raise ValueError("need at least two nodes")
         if len(set(vals)) != len(vals):
             raise ValueError("nodes must be pairwise distinct")
-        object.__setattr__(self, "weights", lagrange_weights(self))
+        self.lambdas = vals
+        self.weights = lagrange_weights(self)
 
     @property
     def m(self) -> int:

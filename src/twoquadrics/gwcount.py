@@ -20,7 +20,6 @@ Only the terms of surviving classes are ever built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -39,22 +38,34 @@ TERM_NOTES = (
 )
 
 
-@dataclass(frozen=True)
 class Verdict:
-    vanishes: bool
-    reason: str | None
+    __slots__ = ("vanishes", "reason")
+
+    def __init__(self, vanishes: bool, reason: str | None):
+        self.vanishes = vanishes
+        self.reason = reason
 
 
-@dataclass(frozen=True)
 class DegenerationTerm:
     """One candidate summand of the degeneration formula."""
 
-    m: int
-    x1_insertions: tuple[int, ...]  # indices of basis classes sent to the quadric side
-    beta1: int
-    l: int
-    mu: tuple[int, ...]
-    delta_degrees: tuple[int, ...]
+    __slots__ = ("m", "x1_insertions", "beta1", "l", "mu", "delta_degrees")
+
+    def __init__(
+        self,
+        m: int,
+        x1_insertions: tuple[int, ...],  # indices of basis classes sent to the quadric side
+        beta1: int,
+        l: int,
+        mu: tuple[int, ...],
+        delta_degrees: tuple[int, ...],
+    ):
+        self.m = m
+        self.x1_insertions = x1_insertions
+        self.beta1 = beta1
+        self.l = l
+        self.mu = mu
+        self.delta_degrees = delta_degrees
 
     @property
     def n1(self) -> int:

@@ -14,8 +14,6 @@ proof; reports say so.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
 from itertools import product
 from operator import mul
 from random import Random
@@ -57,6 +55,8 @@ class Poly:
         return acc % p
 
     def content_hash(self) -> str:
+        import hashlib  # here, so that importing the package does not load it
+
         blob = repr(sorted(self.terms.items())).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -84,22 +84,36 @@ def linear_form(coeffs) -> Poly:
     return Poly(n, terms)
 
 
-@dataclass(frozen=True)
 class PencilData:
     """Integer data defining the family: diagonal weights and the two
-    linear forms, all in m+3 homogeneous variables."""
+    linear forms, all in m+3 homogeneous variables.  Equal data compare
+    and hash equal."""
 
-    m: int
-    lambdas: tuple[int, ...]
-    g1: tuple[int, ...]
-    g2: tuple[int, ...]
+    __slots__ = ("m", "lambdas", "g1", "g2")
 
-    def __post_init__(self):
-        n = self.m + 3
-        if len(self.lambdas) != n or len(self.g1) != n or len(self.g2) != n:
+    def __init__(
+        self, m: int, lambdas: tuple[int, ...], g1: tuple[int, ...], g2: tuple[int, ...]
+    ):
+        n = m + 3
+        if len(lambdas) != n or len(g1) != n or len(g2) != n:
             raise ValueError(f"need exactly {n} coefficients per datum")
-        if len(set(self.lambdas)) != n:
+        if len(set(lambdas)) != n:
             raise ValueError("diagonal weights must be pairwise distinct")
+        self.m = m
+        self.lambdas = lambdas
+        self.g1 = g1
+        self.g2 = g2
+
+    def _key(self) -> tuple:
+        return (self.m, self.lambdas, self.g1, self.g2)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PencilData):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def polys(self) -> dict[str, Poly]:
         n = self.m + 3

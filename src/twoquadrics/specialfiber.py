@@ -17,7 +17,6 @@ rationals enter only with that restriction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import (
@@ -30,40 +29,37 @@ from .exactmath import (
 )
 
 
-@dataclass(frozen=True)
-class ComponentTables:
-    """Per-component middle-cohomology ranks and top intersection numbers."""
-
-    m: int
-    component_volume: int = 2  # integral of omega^m over either quadric piece
-    divisor_volume: int = 2  # integral of omega^(m-1) over the divisor
-    center_volume: int = 4  # integral of omega^(m-2) over the blow-up center
-    beta_self: int = 1
-    theta_self: int = 1
-    z_self: int = 1  # z_i are normalized to self-intersection +1
+# Top intersection numbers of the components, the same in every dimension.
+COMPONENT_VOLUME = 2  # integral of omega^m over either quadric piece
+DIVISOR_VOLUME = 2  # integral of omega^(m-1) over the divisor
+CENTER_VOLUME = 4  # integral of omega^(m-2) over the blow-up center
+BETA_SELF = 1
+THETA_SELF = 1
+Z_SELF = 1  # z_i are normalized to self-intersection +1
 
 
-def component_tables(m: int) -> ComponentTables:
+def _require_fiber_dimension(m: int) -> None:
     if m % 2 or m < 4:
         raise ValueError("the fiber model requires even dimension at least 4")
-    return ComponentTables(m)
 
 
 def fiber_basis_labels(m: int) -> tuple[str, ...]:
     """Order of the six blocks: quadric piece, blown-up piece, center."""
-    component_tables(m)
+    _require_fiber_dimension(m)
     return ("h1", "beta", "h2", "theta", "hz") + tuple(
         f"z{i}" for i in range(1, m + 2)
     )
 
 
-@dataclass(frozen=True)
 class FiberClass:
     """Element of the direct sum of the two components' middle cohomology,
     with rational coefficients over the six-block basis."""
 
-    m: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("m", "coeffs")
+
+    def __init__(self, m: int, coeffs: tuple[Fraction, ...]):
+        self.m = m
+        self.coeffs = coeffs
 
     @staticmethod
     def from_coeffs(m: int, coeffs) -> "FiberClass":
@@ -116,14 +112,14 @@ def pairing_diagonal(m: int) -> list[int]:
     """Intersection pairing over the six-block basis, which is diagonal:
     block-diagonal over the components, with the center block entering
     with a minus sign."""
-    t = component_tables(m)
+    _require_fiber_dimension(m)
     return [
-        t.component_volume,  # h1
-        t.beta_self,  # beta
-        t.component_volume,  # h2
-        t.theta_self,  # theta
-        -t.center_volume,  # hz
-    ] + [-t.z_self] * (m + 1)  # z_i
+        COMPONENT_VOLUME,  # h1
+        BETA_SELF,  # beta
+        COMPONENT_VOLUME,  # h2
+        THETA_SELF,  # theta
+        -CENTER_VOLUME,  # hz
+    ] + [-Z_SELF] * (m + 1)  # z_i
 
 
 def mv_kernel_labels(m: int) -> tuple[str, ...]:
@@ -193,15 +189,23 @@ def x_middle_gram(m: int) -> Mat:
     return g
 
 
-@dataclass(frozen=True)
 class RestrictionMap:
     """Restriction from the glued-fiber middle cohomology to the smooth
     fiber, as a matrix over the named kernel basis."""
 
-    m: int
-    matrix: tuple[tuple[GaussRational, ...], ...]  # (m+4) x (m+5)
-    source_labels: tuple[str, ...]
-    target_labels: tuple[str, ...]
+    __slots__ = ("m", "matrix", "source_labels", "target_labels")
+
+    def __init__(
+        self,
+        m: int,
+        matrix: tuple[tuple[GaussRational, ...], ...],  # (m+4) x (m+5)
+        source_labels: tuple[str, ...],
+        target_labels: tuple[str, ...],
+    ):
+        self.m = m
+        self.matrix = matrix
+        self.source_labels = source_labels
+        self.target_labels = target_labels
 
     def kernel(self) -> list[list[GaussRational]]:
         return kernel_basis(self.matrix)
@@ -230,7 +234,7 @@ def restriction_map(m: int) -> RestrictionMap:
     """The diagonal restriction matrix: h1+h2 goes to omega, h1+hz-h2 dies,
     beta and theta hit the two +1 classes, and each z_i maps to
     sqrt(-1) times the corresponding -1 class."""
-    component_tables(m)
+    _require_fiber_dimension(m)
     source = mv_kernel_labels(m)
     target = x_basis_labels(m)
     n_rows, n_cols = m + 4, m + 5

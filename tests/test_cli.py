@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import twoquadrics
 from twoquadrics import cli, smoothcheck, specialfiber
 from twoquadrics.cli import (
     EXIT_CONFIG,
@@ -63,6 +68,37 @@ def test_bad_lambda_count_is_config_error(capsys):
         code, _, err = run_cli(capsys, "geombasis", "--m", "4", "--lambdas", lambdas)
         assert code == EXIT_CONFIG, lambdas
         assert "--lambdas" in err
+
+
+def test_unreadable_lambda_is_named_as_written(capsys):
+    cases = (
+        ("1/0,1,2,3,4,5,6", "1/0"),
+        ("0,x,2,3,4,5,6", "x"),
+        ("0,,2,3,4,5,6", "an empty entry"),
+    )
+    for lambdas, entry in cases:
+        code, _, err = run_cli(capsys, "geombasis", "--m", "4", "--lambdas", lambdas)
+        assert code == EXIT_CONFIG, lambdas
+        assert err == f"configuration error: --lambdas must list rationals: {entry} is not one\n"
+
+
+def test_repeated_prime_is_config_error(capsys, monkeypatch):
+    def scan(*args, **kwargs):
+        pytest.fail("a scan ran for a repeated prime")
+
+    monkeypatch.setattr(smoothcheck, "singular_locus_check", scan)
+    for primes in ("7,7", "5,7,5"):
+        code, out, err = run_cli(capsys, "smoothness", "--m", "4", "--primes", primes)
+        assert code == EXIT_CONFIG, primes
+        assert out == ""
+        assert err == "configuration error: --primes must list distinct primes\n"
+
+
+def test_nonpositive_budget_is_config_error(capsys):
+    for budget in ("0", "-5"):
+        code, _, err = run_cli(capsys, "smoothness", "--m", "4", "--primes", "7", "--budget", budget)
+        assert code == EXIT_CONFIG, budget
+        assert err == "configuration error: --budget must be positive\n"
 
 
 def test_rational_lambdas_pass_the_geombasis_section(capsys):
@@ -299,3 +335,24 @@ def test_scan_json_matches_golden_digests(capsys):
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == exit_code, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_hashlib():
+    # compared before and after the import in a fresh interpreter, because
+    # site hooks may preload modules of their own
+    probe = (
+        "import sys; before = set(sys.modules); import twoquadrics.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = str(Path(twoquadrics.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    added = set(done.stdout.split())
+    assert "twoquadrics.cli" in added
+    assert not added & {"dataclasses", "inspect", "hashlib", "_hashlib"}

@@ -1,15 +1,15 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import specialfiber_reference as reference
 from specialfiber_reference import fiber_pairing
+from twoquadrics import specialfiber
 from twoquadrics.chern import CIDescriptor, euler_char, primitive_middle_dim
 from twoquadrics.exactmath import GaussRational, IMAG_UNIT, kernel_basis, rank
 from twoquadrics.specialfiber import (
     FiberClass,
-    component_tables,
+    RestrictionMap,
     fiber_basis_labels,
     fiber_gram_on_kernel,
     gamma_matrix,
@@ -35,11 +35,10 @@ def _expected_kernel_gram(m):
 
 def test_component_tables_cross_checked_against_euler():
     for m in (4, 6, 8):
-        tables = component_tables(m)
         # volumes are the degrees of the pieces
-        assert tables.component_volume == 2
-        assert tables.divisor_volume == 2
-        assert tables.center_volume == 4
+        assert specialfiber.COMPONENT_VOLUME == 2
+        assert specialfiber.DIVISOR_VOLUME == 2
+        assert specialfiber.CENTER_VOLUME == 4
         # middle ranks against the Euler-characteristic route: one primitive
         # class per quadric piece (beta, theta), m+1 on the center (z_i)
         labels = fiber_basis_labels(m)
@@ -94,9 +93,11 @@ def test_fiber_pairing_table_entries():
     assert fiber_pairing(theta, theta) == 1
     assert fiber_pairing(beta, theta) == 0
     # the null direction: 2 + 2 - 4 from the component volumes
-    tables = component_tables(m)
     assert (
-        tables.component_volume + tables.component_volume - tables.center_volume == 0
+        specialfiber.COMPONENT_VOLUME
+        + specialfiber.COMPONENT_VOLUME
+        - specialfiber.CENTER_VOLUME
+        == 0
     )
     assert fiber_pairing(null, null) == 0
     for other in (h1h2, z1, beta, theta):
@@ -157,7 +158,9 @@ def _altered(rmap, edits):
     rows = [list(row) for row in rmap.matrix]
     for (i, j), value in edits.items():
         rows[i][j] = GaussRational.of(value)
-    return replace(rmap, matrix=tuple(tuple(row) for row in rows))
+    return RestrictionMap(
+        rmap.m, tuple(tuple(row) for row in rows), rmap.source_labels, rmap.target_labels
+    )
 
 
 def test_pairing_check_rejects_wrong_restrictions():
@@ -208,7 +211,7 @@ def test_x1_restriction_table():
 
 def test_fiber_model_rejects_small_dimension():
     with pytest.raises(ValueError):
-        component_tables(2)
+        fiber_basis_labels(2)
     with pytest.raises(ValueError):
         mv_kernel(3)
 
