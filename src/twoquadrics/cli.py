@@ -10,8 +10,6 @@ error.
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -23,13 +21,13 @@ EXIT_INCONCLUSIVE = 3
 EXIT_CONFIG = 4
 DEFAULT_BUDGET = 2_000_000  # projective points per finite-field scan
 
+
 class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
+def _usage_error(message):
+    raise _UsageError(message)
 
 
 def _claim(claim_id: str, ok: bool, **payload) -> dict:
@@ -198,8 +196,8 @@ def run_smoothness(cfg: dict) -> dict:
         if any(v.denominator != 1 for v in lambdas):
             raise _UsageError("the finite-field scans need integer --lambdas")
         lambdas = [int(v) for v in lambdas]
-    # the only budget check: before the genericity screen, which scans
-    # P^m(F_p) for every draw, and before the scans, which do not check it
+    # the only budget check, before the genericity screen and the scans of
+    # P^{m+2}(F_p), which do not check it
     for p in primes:
         count = smoothcheck.projective_count(m + 3, p)
         if count > cfg["budget"]:
@@ -311,12 +309,12 @@ _RUNNERS = {
 SECTIONS = tuple(_RUNNERS)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip() != ""]
+def build_parser():
+    # argparse is imported here, so that importing the CLI does not load it
+    import argparse
 
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="twoquadrics", description=__doc__)
+    parser = argparse.ArgumentParser(prog="twoquadrics", description=__doc__)
+    parser.error = _usage_error  # a usage error is a configuration error
     parser.add_argument("section", choices=SECTIONS + ("full",))
     parser.add_argument("--m", type=int, default=4, help="even dimension, at least 2")
     parser.add_argument(
@@ -367,10 +365,13 @@ def _config_from_args(args) -> dict:
             raise _UsageError("--lambdas must be pairwise distinct")
         if len(lambdas) != args.m + 3:
             raise _UsageError(f"--lambdas needs exactly {args.m + 3} nodes")
-    try:
-        primes = _parse_int_list(args.primes)
-    except ValueError as exc:
-        raise _UsageError(f"--primes must list primes: {exc}") from exc
+    primes = []
+    for part in args.primes.split(","):
+        if part.strip():
+            try:
+                primes.append(int(part))
+            except ValueError as exc:
+                raise _UsageError(f"--primes must list primes: {part.strip()} is not one") from exc
     if not primes or any(not _is_prime(p) for p in primes):
         raise _UsageError("--primes must list primes")
     if len(set(primes)) != len(primes):
@@ -403,6 +404,8 @@ def _prose(value) -> str:
         return "[" + ", ".join(_prose(v) for v in value) + "]"
     if isinstance(value, (str, Fraction)):
         return str(value)
+    import json  # here, so that importing the CLI does not load it
+
     return json.dumps(value)
 
 
@@ -472,6 +475,8 @@ def main(argv=None) -> int:
         report["verdict"] = "inconclusive"
 
     if args.format == "json":
+        import json
+
         rendered = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
     else:
         rendered = _render_text(report)

@@ -263,6 +263,27 @@ def _common_roots(alpha, beta, p: int):
     return (t,) if all((al * t + be) % p == 0 for al, be in zip(alpha, beta)) else ()
 
 
+def _span_projection(g1, g2, p: int):
+    """A linear map mod p whose kernel is exactly span(g1, g2), for
+    independent forms: v -> d*v - mu*g1 - nu*g2, where d is a nonzero 2x2
+    minor of (g1, g2) on columns (r, s) and mu, nu are the Cramer
+    numerators of v's coordinates in g1 and g2 on those columns."""
+    n = len(g1)
+    d, r, s = next(
+        (d, r, s)
+        for r in range(n)
+        for s in range(r + 1, n)
+        if (d := (g1[r] * g2[s] - g1[s] * g2[r]) % p)
+    )
+
+    def project(v):
+        mu = v[r] * g2[s] - v[s] * g2[r]
+        nu = g1[r] * v[s] - g1[s] * v[r]
+        return [(d * x - mu * a - nu * b) % p for x, a, b in zip(v, g1, g2)]
+
+    return project
+
+
 def _equation_hashes(data: PencilData) -> dict[str, str]:
     return {name: poly.content_hash() for name, poly in data.polys().items()}
 
@@ -347,8 +368,10 @@ def chart_smoothness_check(data: PencilData, p: int) -> dict:
     of rank 4)."""
     collisions = _validate(data, p)
     n = data.m + 3
+    cols = range(n)
     lam2 = [2 * v for v in data.lambdas]
     a, b = data.g1, data.g2
+    project = _span_projection(a, b, p)
 
     chart_points = 0
     chart_failures: list[tuple[str, tuple[int, ...]]] = []
@@ -422,14 +445,17 @@ def chart_smoothness_check(data: PencilData, p: int) -> dict:
                     ("chart_G2", pt + (w2 * g % p, g)) for g in _common_roots(on_f2, on_g1, p)
                 )
         if w1 == 0 and w2 == 0:
+            # [2x, g1, g2] has rank 3 exactly when x is outside span(g1,
+            # g2), and [2x, grad f2, g1, g2] rank 4 when x and grad f2 are
+            # independent modulo it
             divisor_points += 1
-            rows = [[2 * x for x in pt], list(a), list(b)]
-            if _rank_mod(rows, p) != 3:
+            on_x = project(pt)
+            j = next((i for i in cols if on_x[i]), None)
+            if j is None:
                 divisor_failures.append(pt)
             if v2 == 0:
                 center_points += 1
-                rows.insert(1, grad_f2)
-                if _rank_mod(rows, p) != 4:
+                if j is None or not any(_minors(on_x, project(grad_f2), cols, j, p)):
                     center_failures.append(pt)
 
     ok = not (chart_failures or divisor_failures or center_failures)
@@ -460,40 +486,36 @@ def chart_smoothness_check(data: PencilData, p: int) -> dict:
     }
 
 
-def _center_singular_mod(m, lambdas, g1, g2, p: int) -> bool:
+def _center_singular_mod(lambdas, g1, g2, p: int) -> bool:
     """Whether the blow-up center {f1 = f2 = g1 = g2 = 0} is singular mod
-    p, checked directly on the codimension-two linear subspace cut out by
-    the forms.
+    p, decided on the pencil of the two quadrics restricted to the
+    subspace x = By cut out by the forms.
 
-    Each kernel vector has 1 at its own free column and 0 at the other
-    free columns, so a point's free coordinates are y itself and only the
-    two pivot coordinates need a dot product."""
-    forms = [list(g1), list(g2)]
-    _, pivots = echelon(forms, p)
-    span = kernel_basis(forms, p)
-    free = [i for i in range(m + 3) if i not in pivots]
-    pivot_rows = [(c, [v[c] for v in span]) for c in pivots]
-    for y in projective_reps(len(span), p):
-        x = [0] * (m + 3)
-        for i, v in zip(free, y):
-            x[i] = v
-        for c, row in pivot_rows:
-            x[c] = sum(map(mul, row, y)) % p
-        squares = list(map(mul, x, x))
-        if sum(squares) % p or sum(map(mul, lambdas, squares)) % p:
-            continue
-        rows = [
-            [2 * v % p for v in x],
-            [2 * lam * v % p for lam, v in zip(lambdas, x)],
-            list(g1),
-            list(g2),
+    The forms are independent, so the rows [2x, 2*lambda*x, g1, g2] drop
+    rank exactly when (2a + 2b*lambda)x lies in span(g1, g2) for some
+    (a:b) in P^1(F_p), that is when B^T (2a + 2b*lambda) B y = 0.  Only
+    the points of the p+1 kernels of that restricted pencil, usually of
+    dimension 0 or 1, are tested for f1 = f2 = 0.  (In characteristic 2
+    every kernel is the whole subspace, as every gradient vanishes.)"""
+    span = kernel_basis([list(g1), list(g2)], p)
+    doubled = [2 * lam for lam in lambdas]
+    gram_1 = [[2 * sum(map(mul, u, v)) % p for v in span] for u in span]
+    gram_2 = [[sum(map(mul, doubled, map(mul, u, v))) % p for v in span] for u in span]
+    for a, b in [(1, b) for b in range(p)] + [(0, 1)]:
+        member = [[(a * x + b * y) % p for x, y in zip(r1, r2)] for r1, r2 in zip(gram_1, gram_2)]
+        # the kernel vectors in the coordinates of P^{m+2}
+        kernel = [
+            [sum(map(mul, col, y)) % p for col in zip(*span)] for y in kernel_basis(member, p)
         ]
-        if _rank_mod(rows, p) != 4:
-            return True
+        for z in projective_reps(len(kernel), p):
+            x = [sum(map(mul, col, z)) for col in zip(*kernel)]
+            squares = list(map(mul, x, x))
+            if sum(squares) % p == 0 and sum(map(mul, lambdas, squares)) % p == 0:
+                return True
     return False
 
 
-def _form_degeneracies(m, lambdas, g1, g2, p: int) -> list[str]:
+def _form_degeneracies(lambdas, g1, g2, p: int) -> list[str]:
     """Genericity conditions modulo p that the family construction assumes:
     independent forms, smooth component quadrics, a smooth divisor
     section, and a smooth blow-up center."""
@@ -509,7 +531,7 @@ def _form_degeneracies(m, lambdas, g1, g2, p: int) -> list[str]:
         problems.append("second component quadric singular")
     if (s11 * s22 - s12 * s12) % p == 0:
         problems.append("divisor section degenerate")
-    if _center_singular_mod(m, lambdas, g1, g2, p):
+    if _center_singular_mod(lambdas, g1, g2, p):
         problems.append("blow-up center singular")
     return problems
 
@@ -524,7 +546,7 @@ def default_pencil(m: int, primes=(5, 7, 11), seed: int = 0, lambdas=None) -> Pe
     g1 = tuple(range(1, n + 1))
     g2 = tuple(rng.randint(1, 40) for _ in range(n))
     for _ in range(500):
-        if all(not _form_degeneracies(m, lambdas, g1, g2, p) for p in primes):
+        if all(not _form_degeneracies(lambdas, g1, g2, p) for p in primes):
             return PencilData(m, lambdas, g1, g2)
         g1 = tuple(rng.randint(1, 40) for _ in range(n))
         g2 = tuple(rng.randint(1, 40) for _ in range(n))

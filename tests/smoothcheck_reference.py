@@ -242,12 +242,12 @@ def chart_smoothness_check(data: PencilData, p: int) -> dict:
     }
 
 
-def center_singular_mod(m, lambdas, g1, g2, p: int) -> bool:
+def center_singular_mod(lambdas, g1, g2, p: int) -> bool:
     """Whether the blow-up center {f1 = f2 = g1 = g2 = 0} is singular mod
     p, with every point of the subspace cut out by the forms computed as a
     dense combination of a kernel basis."""
     span = kernel_basis([list(g1), list(g2)], p)
-    n = m + 3
+    n = len(lambdas)
     for y in projective_reps(len(span), p):
         x = [sum(span[j][i] * y[j] for j in range(len(span))) % p for i in range(n)]
         if sum(v * v for v in x) % p:

@@ -82,6 +82,14 @@ def test_unreadable_lambda_is_named_as_written(capsys):
         assert err == f"configuration error: --lambdas must list rationals: {entry} is not one\n"
 
 
+def test_unreadable_prime_is_named_as_written(capsys):
+    for primes, entry in (("5,x", "x"), ("7, 1/2 ,11", "1/2"), ("5.0", "5.0")):
+        code, out, err = run_cli(capsys, "smoothness", "--m", "4", "--primes", primes)
+        assert code == EXIT_CONFIG, primes
+        assert out == ""
+        assert err == f"configuration error: --primes must list primes: {entry} is not one\n"
+
+
 def test_repeated_prime_is_config_error(capsys, monkeypatch):
     def scan(*args, **kwargs):
         pytest.fail("a scan ran for a repeated prime")
@@ -339,7 +347,8 @@ def test_scan_json_matches_golden_digests(capsys):
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_hashlib():
     # compared before and after the import in a fresh interpreter, because
-    # site hooks may preload modules of their own
+    # site hooks may preload modules of their own; argparse and json are
+    # loaded only when a command line is parsed or a report rendered
     probe = (
         "import sys; before = set(sys.modules); import twoquadrics.cli; "
         "print(*sorted(set(sys.modules) - before))"
@@ -355,4 +364,4 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_hashlib():
     )
     added = set(done.stdout.split())
     assert "twoquadrics.cli" in added
-    assert not added & {"dataclasses", "inspect", "hashlib", "_hashlib"}
+    assert not added & {"dataclasses", "inspect", "hashlib", "_hashlib", "argparse", "json"}

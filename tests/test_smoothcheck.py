@@ -17,6 +17,7 @@ from twoquadrics.smoothcheck import (
     PencilData,
     _center_singular_mod,
     _forms_independent,
+    _rank_mod,
     _scan_base,
     chart_smoothness_check,
     default_pencil,
@@ -282,20 +283,126 @@ def test_characteristic_two_is_rejected():
         chart_smoothness_check(data, 2)
 
 
+def _counting_reps(monkeypatch, limit=None):
+    """Patch ``smoothcheck.projective_reps`` to record the dimension of
+    every space it is asked to walk and the number of points it yields,
+    failing once the points exceed ``limit``."""
+    seen = {"points": 0, "dims": []}
+    real = smoothcheck.projective_reps
+
+    def counting(nvars, p):
+        seen["dims"].append(nvars)
+        for pt in real(nvars, p):
+            seen["points"] += 1
+            if limit is not None and seen["points"] > limit:
+                pytest.fail(f"the screen walked more than {limit} points")
+            yield pt
+
+    monkeypatch.setattr(smoothcheck, "projective_reps", counting)
+    return seen
+
+
 @pytest.mark.parametrize(
-    "m,p,draws", [(2, 5, 12), (2, 7, 12), (2, 11, 12), (4, 5, 6), (4, 7, 6), (4, 11, 4)]
+    "m,p,draws",
+    [
+        (0, 5, 12), (0, 7, 24), (2, 3, 12), (2, 5, 12), (2, 7, 12), (2, 11, 12),
+        (4, 3, 6), (4, 5, 6), (4, 7, 6), (4, 11, 4), (6, 3, 4), (6, 5, 3),
+    ],
 )
-def test_center_screen_equals_the_dense_reference(m, p, draws):
-    # seeded forms mod p; the draws include singular and smooth centers
+def test_center_screen_equals_the_dense_reference(m, p, draws, monkeypatch):
+    # seeded forms mod p, dense or sparse, against ascending, random and
+    # colliding weights; the draws include singular and smooth centers,
+    # and for m >= 2 kernels of the restricted pencil of dimension >= 2
+    seen = _counting_reps(monkeypatch)
     n = m + 3
-    lambdas = tuple(range(n))
     verdicts = []
     for seed in range(draws):
         rng = Random(seed)
         g1, g2 = (tuple(rng.randrange(p) for _ in range(n)) for _ in range(2))
-        if not _forms_independent(g1, g2, p):
-            continue
-        verdict = _center_singular_mod(m, lambdas, g1, g2, p)
-        assert verdict == reference.center_singular_mod(m, lambdas, g1, g2, p), (seed, g1, g2)
-        verdicts.append(verdict)
+        sparse = [
+            tuple(rng.randrange(p) if rng.random() < 0.4 else 0 for _ in range(n))
+            for _ in range(2)
+        ]
+        cases = [
+            (tuple(range(n)), g1, g2),
+            (tuple(rng.sample(range(-50, 50), n)), g1, g2),
+            (tuple(rng.randrange(p) for _ in range(n)), g1, g2),
+            (tuple(range(n)), *sparse),
+            (tuple(rng.randrange(p) for _ in range(n)), *sparse),
+        ]
+        for lambdas, f1, f2 in cases:
+            if not _forms_independent(f1, f2, p):
+                continue
+            verdict = _center_singular_mod(lambdas, f1, f2, p)
+            assert verdict == reference.center_singular_mod(lambdas, f1, f2, p), (
+                seed, lambdas, f1, f2,
+            )
+            verdicts.append(verdict)
     assert set(verdicts) == {True, False}
+    if m >= 2:
+        assert max(seen["dims"]) >= 2
+
+
+def test_center_screen_in_characteristic_two_equals_the_dense_reference():
+    # every gradient vanishes mod 2, so a center is singular exactly where
+    # it has a point, and every member of the pencil must see all of them
+    verdicts = []
+    for m in (0, 1, 2):
+        n = m + 3
+        for seed in range(24):
+            rng = Random(seed)
+            lambdas = tuple(rng.sample(range(-50, 50), n))
+            g1, g2 = (tuple(rng.randrange(2) for _ in range(n)) for _ in range(2))
+            if not _forms_independent(g1, g2, 2):
+                continue
+            verdict = _center_singular_mod(lambdas, g1, g2, 2)
+            assert verdict == reference.center_singular_mod(lambdas, g1, g2, 2), (m, seed)
+            verdicts.append(verdict)
+    assert set(verdicts) == {True, False}
+
+
+def test_center_screen_walks_only_the_pencil_kernels(monkeypatch):
+    # at m = 6, p = 11 the walk of P^6(F_11) had 1,948,717 points; the
+    # kernels of the restricted pencil hold fewer than p^2 between them
+    p = 11
+    seen = _counting_reps(monkeypatch, limit=p * p)
+    for seed in range(6):
+        rng = Random(seed)
+        g1, g2 = (tuple(rng.randint(1, 40) for _ in range(9)) for _ in range(2))
+        seen["points"] = 0
+        _center_singular_mod(tuple(range(9)), g1, g2, p)
+    seen["points"] = 0
+    default_pencil(6, primes=(p,))
+
+
+def test_span_projection_decides_the_divisor_and_center_ranks():
+    # pi(x) = 0 exactly where [x, g1, g2] drops rank, and pi(x), pi(lambda
+    # x) are independent exactly where [x, lambda x, g1, g2] has rank 4
+    kinds = set()
+    for seed in range(300):
+        rng = Random(seed)
+        p = rng.choice((3, 5, 7, 11))
+        n = rng.randint(3, 9)
+        lambdas = [rng.randrange(p) for _ in range(n)]
+        x = [rng.randrange(p) for _ in range(n)]
+        g1, g2 = ([rng.randrange(p) for _ in range(n)] for _ in range(2))
+        kind = seed % 4
+        if kind == 1:  # x inside span(g1, g2)
+            a, b = rng.randrange(p), rng.randrange(p)
+            x = [a * u + b * v for u, v in zip(g1, g2)]
+        elif kind == 2:  # lambda x = c x + g1
+            c = rng.randrange(p)
+            g1 = [(lam * v - c * v) % p for lam, v in zip(lambdas, x)]
+        elif kind == 3:  # x an eigenvector of lambda
+            i = rng.randrange(n)
+            x = [v if lambdas[j] == lambdas[i] else 0 for j, v in enumerate(x)]
+        if not _forms_independent(g1, g2, p) or not any(v % p for v in x):
+            continue
+        lx = [lam * v for lam, v in zip(lambdas, x)]
+        project = smoothcheck._span_projection(g1, g2, p)
+        on_x = project(x)
+        assert (not any(on_x)) == (_rank_mod([x, g1, g2], p) == 2), seed
+        independent = _rank_mod([on_x, project(lx)], p) == 2
+        assert independent == (_rank_mod([x, lx, g1, g2], p) == 4), seed
+        kinds.add((kind, not any(on_x), independent))
+    assert {(0, False, True), (1, True, False), (2, False, False), (3, False, False)} <= kinds
