@@ -211,8 +211,7 @@ def run_smoothness(cfg: dict) -> dict:
     claims = []
     per_prime = []
     for p in primes:
-        locus = smoothcheck.singular_locus_check(data, p)
-        charts = smoothcheck.chart_smoothness_check(data, p)
+        locus, charts = smoothcheck.smoothness_scan(data, p)
         # weights that collide mod p put the reduction outside the
         # construction: its claims are reported but are not evidence
         collisions = locus["lambda_collisions"]
@@ -339,14 +338,29 @@ def build_parser():
     return parser
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least strong pseudoprime to every base in _WITNESSES: below it the
+# Miller-Rabin test on those bases decides primality exactly
+PRIME_BOUND = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin, exact for n < PRIME_BOUND."""
+    if n < 2 or any(n % q == 0 for q in _WITNESSES):
+        return n in _WITNESSES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 1
     return True
 
 
@@ -372,6 +386,8 @@ def _config_from_args(args) -> dict:
                 primes.append(int(part))
             except ValueError as exc:
                 raise _UsageError(f"--primes must list primes: {part.strip()} is not one") from exc
+    if any(p >= PRIME_BOUND for p in primes):
+        raise _UsageError(f"--primes must list primes below {PRIME_BOUND}")
     if not primes or any(not _is_prime(p) for p in primes):
         raise _UsageError("--primes must list primes")
     if len(set(primes)) != len(primes):

@@ -17,11 +17,7 @@ from twoquadrics.geombasis import (
     verify_plane_in_x,
 )
 from twoquadrics.gwcount import main_correlator_report
-from twoquadrics.smoothcheck import (
-    chart_smoothness_check,
-    default_pencil,
-    singular_locus_check,
-)
+from twoquadrics.smoothcheck import default_pencil, smoothness_scan
 from twoquadrics.specialfiber import (
     fiber_gram_on_kernel,
     gamma_matrix,
@@ -128,8 +124,7 @@ def test_criterion_08_smoothness_scans():
     ok = True
     for p in (5, 7):
         start = time.monotonic()
-        locus = singular_locus_check(data, p)
-        charts = chart_smoothness_check(data, p)
+        locus, charts = smoothness_scan(data, p)
         elapsed = time.monotonic() - start
         ok = ok and locus["t_zero"]["sets_equal"]
         ok = ok and not charts["chart_rank_failures"]

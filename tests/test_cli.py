@@ -94,12 +94,65 @@ def test_repeated_prime_is_config_error(capsys, monkeypatch):
     def scan(*args, **kwargs):
         pytest.fail("a scan ran for a repeated prime")
 
-    monkeypatch.setattr(smoothcheck, "singular_locus_check", scan)
+    monkeypatch.setattr(smoothcheck, "smoothness_scan", scan)
     for primes in ("7,7", "5,7,5"):
         code, out, err = run_cli(capsys, "smoothness", "--m", "4", "--primes", primes)
         assert code == EXIT_CONFIG, primes
         assert out == ""
         assert err == "configuration error: --primes must list distinct primes\n"
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_primality_agrees_with_trial_division():
+    assert [n for n in range(1, 10**5 + 1) if cli._is_prime(n)] == [
+        n for n in range(1, 10**5 + 1) if _trial_division(n)
+    ]
+
+
+def test_strong_pseudoprimes_are_refused(capsys):
+    # 3825123056546413051 is a strong pseudoprime to the bases 2..23, and
+    # the bound is the least one to all twelve bases the test uses;
+    # 211*421*631 is a Carmichael number with a^((n-1)/2) = 1 for every a
+    # prime to it, so a test that accepts a 1 after a squaring passes it
+    cases = (
+        ("3825123056546413051", "--primes must list primes"),
+        (str(211 * 421 * 631), "--primes must list primes"),
+        (str(cli.PRIME_BOUND), f"--primes must list primes below {cli.PRIME_BOUND}"),
+    )
+    for primes, message in cases:
+        code, out, err = run_cli(capsys, "euler", "--primes", primes)
+        assert code == EXIT_CONFIG, primes
+        assert out == ""
+        assert err == f"configuration error: {message}\n"
+
+
+def test_large_prime_is_checked_without_stalling(capsys):
+    # trial division up to the square root of 10^18 would not finish
+    start = time.monotonic()
+    code, out, _ = run_cli(capsys, "euler", "--primes", "1000000000000000003")
+    assert code == EXIT_OK
+    assert "overall: pass" in out
+    code, _, err = run_cli(capsys, "smoothness", "--m", "4", "--primes", "1000000000000000003")
+    assert code == EXIT_CONFIG
+    assert "exceeds the budget" in err
+    assert time.monotonic() - start < 1
+
+
+def test_smoothness_walks_each_prime_once(capsys, monkeypatch):
+    walks = []
+    real = smoothcheck._scan_base
+
+    def counting(data, p):
+        walks.append(p)
+        return real(data, p)
+
+    monkeypatch.setattr(smoothcheck, "_scan_base", counting)
+    code, _, _ = run_cli(capsys, "smoothness", "--m", "4", "--primes", "7,11")
+    assert code == EXIT_OK
+    assert walks == [7, 11]
 
 
 def test_nonpositive_budget_is_config_error(capsys):
@@ -230,13 +283,13 @@ def test_colliding_weights_are_labelled_degenerate_and_inconclusive(capsys):
 
 
 def test_colliding_prime_is_not_evidence_either_way(capsys, monkeypatch):
-    real = smoothcheck.singular_locus_check
+    real = smoothcheck.smoothness_scan
 
     def failing_at_3(data, p):
-        report = real(data, p)
-        return {**report, "ok": report["ok"] and p != 3}
+        locus, charts = real(data, p)
+        return {**locus, "ok": locus["ok"] and p != 3}, charts
 
-    monkeypatch.setattr(smoothcheck, "singular_locus_check", failing_at_3)
+    monkeypatch.setattr(smoothcheck, "smoothness_scan", failing_at_3)
     # a failed scan at a colliding prime is no discrepancy
     code, out, _ = run_cli(capsys, "smoothness", "--m", "4", "--primes", "3")
     assert code == EXIT_INCONCLUSIVE
