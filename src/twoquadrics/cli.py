@@ -125,7 +125,8 @@ def run_fiber(cfg: dict) -> dict:
     kernel_ok = len(kernel) == 1 and all(
         not c for j, c in enumerate(kernel[0]) if j != 1
     )
-    rank = rmap.rank()
+    # rank-nullity on the elimination the kernel already ran
+    rank = len(rmap.matrix[0]) - len(kernel)
     claims = [
         _claim(
             "glued-fiber-kernel-matches-named-basis",
@@ -171,7 +172,7 @@ def run_geombasis(cfg: dict) -> dict:
         if lambdas
         else geombasis.default_config(m)
     )
-    sums = [geombasis.power_sum(config, p) for p in range(m + 3)]
+    sums = geombasis.power_sums(config, m + 3)
     sums_ok = all(s == 0 for s in sums[: m + 2]) and sums[m + 2] == 1
     on_quadrics = geombasis.verify_points_on_quadrics(config)
     plane = geombasis.verify_plane_in_x(config, trials=cfg["trials"], seed=cfg["seed"])

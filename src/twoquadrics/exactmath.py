@@ -93,10 +93,6 @@ class GaussRational:
 IMAG_UNIT = GaussRational(Fraction(0), Fraction(1))
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def mat_mul(a, b):
     """Exact product ``a * b`` that skips zero entries of either factor.
 
@@ -121,10 +117,6 @@ def mat_mul(a, b):
                     acc[j] += x * y
         out.append(acc)
     return out
-
-
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def conjugate_transpose(a: list[list[GaussRational]]) -> list[list[GaussRational]]:
@@ -337,14 +329,6 @@ def smith_normal_form(m) -> tuple[list[int], list[list[int]], list[list[int]]]:
             break
     diag = [a[i][i] for i in range(min(rows, cols))]
     return diag, left, right
-
-
-def integer_kernel_basis(m) -> list[list[int]]:
-    """Basis of the integer kernel {x in Z^cols : m*x = 0}, via SNF."""
-    rows, cols = _check_rect(m)
-    diag, _, right = smith_normal_form(m)
-    kernel_cols = [j for j in range(cols) if j >= len(diag) or diag[j] == 0]
-    return [[right[i][j] for i in range(cols)] for j in kernel_cols]
 
 
 def gram_diagonalize(g: Mat) -> list[Fraction]:

@@ -59,25 +59,34 @@ def lagrange_weights(cfg: LambdaConfig) -> tuple[Fraction, ...]:
     )
 
 
-def power_sum(cfg: LambdaConfig, p: int) -> Fraction:
-    """sum_i lambda_i^p * c_i; zero through degree m+1 and one at m+2.
-    Summed in integers as sum_i a_i^p * W_i / (b^p * L), W_i = c_i*L, from
-    the weights ``cfg`` holds at the call."""
+def power_sums(cfg: LambdaConfig, count: int) -> list[Fraction]:
+    """s_0 .. s_{count-1}, s_p = sum_i lambda_i^p * c_i: zero through degree
+    m+1 and one at m+2.  The denominators are cleared once, from the weights
+    ``cfg`` holds at the call: s_p = sum_i a_i^p * W_i / (b^p * L), W_i = c_i*L,
+    with the numerator terms a_i^p * W_i kept as running products."""
     b, nodes = _cleared(cfg.lambdas)
-    scale, weights = _cleared(cfg.weights)
-    return Fraction(sum(a**p * w for a, w in zip(nodes, weights)), b**p * scale)
+    den, terms = _cleared(cfg.weights)
+    sums = []
+    for _ in range(count):
+        sums.append(Fraction(sum(terms), den))
+        terms = [t * a for t, a in zip(terms, nodes)]
+        den *= b
+    return sums
+
+
+def power_sum(cfg: LambdaConfig, p: int) -> Fraction:
+    """The one sum s_p of ``power_sums``."""
+    return power_sums(cfg, p + 1)[p]
 
 
 def verify_points_on_quadrics(cfg: LambdaConfig) -> bool:
     """Both quadrics vanish on every spanning point of the plane: the
     squared coordinates turn the two equations into power sums of degree
-    2k and 2k+1 for k up to m/2, all below the vanishing threshold."""
+    2k and 2k+1 for k up to m/2, that is s_0 .. s_{m+1}, all below the
+    vanishing threshold."""
     if cfg.m < 0 or cfg.m % 2:
         raise ValueError("even dimension required")
-    for k in range(cfg.m // 2 + 1):
-        if power_sum(cfg, 2 * k) or power_sum(cfg, 2 * k + 1):
-            return False
-    return True
+    return not any(power_sums(cfg, cfg.m + 2))
 
 
 def verify_plane_in_x(cfg: LambdaConfig, trials: int = 100, seed: int = 0) -> bool:

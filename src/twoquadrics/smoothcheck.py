@@ -29,7 +29,7 @@ class Poly:
     """Sparse multivariate polynomial with integer coefficients: the
     equations of the family, fingerprinted in every report."""
 
-    __slots__ = ("nvars", "terms", "_compiled")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict[tuple[int, ...], int] | None = None):
         self.nvars = nvars
@@ -39,19 +39,14 @@ class Poly:
                 if coeff:
                     self.terms[tuple(exps)] = self.terms.get(tuple(exps), 0) + coeff
             self.terms = {e: c for e, c in self.terms.items() if c}
-        # flat index lists make evaluation a plain product loop
-        self._compiled = [
-            (coeff, [i for i, e in enumerate(exps) for _ in range(e)])
-            for exps, coeff in sorted(self.terms.items())
-        ]
 
     def eval_mod(self, point, p: int) -> int:
         acc = 0
-        for coeff, idxs in self._compiled:
-            v = coeff
-            for i in idxs:
-                v *= point[i]
-            acc += v
+        for exps, coeff in self.terms.items():
+            for x, e in zip(point, exps):
+                if e:
+                    coeff *= x**e
+            acc += coeff
         return acc % p
 
     def content_hash(self) -> str:

@@ -62,13 +62,6 @@ class FiberClass:
         self.coeffs = coeffs
 
     @staticmethod
-    def from_coeffs(m: int, coeffs) -> "FiberClass":
-        cs = tuple(Fraction(c) for c in coeffs)
-        if len(cs) != m + 6:
-            raise ValueError("expected one coefficient per basis label")
-        return FiberClass(m, cs)
-
-    @staticmethod
     def from_labels(m: int, assignment: dict[str, object]) -> "FiberClass":
         """Only the assigned coefficients are built; every other label
         shares one zero."""
@@ -209,9 +202,6 @@ class RestrictionMap:
 
     def kernel(self) -> list[list[GaussRational]]:
         return kernel_basis(self.matrix)
-
-    def rank(self) -> int:
-        return rank(self.matrix)
 
     def is_pairing_preserving(self) -> bool:
         """Hermitian compatibility: conjugate-transpose(M) * G_X * M must

@@ -13,16 +13,9 @@ patches them moves the oracle and the closed forms together.
 from fractions import Fraction
 from math import prod
 
+from exactmath_reference import integer_kernel_basis, mat_vec, transpose
 from twoquadrics import cohomology
-from twoquadrics.exactmath import (
-    det,
-    gram_diagonalize,
-    integer_kernel_basis,
-    mat_vec,
-    signature,
-    smith_normal_form,
-    transpose,
-)
+from twoquadrics.exactmath import det, gram_diagonalize, signature, smith_normal_form
 
 
 def quadric_pencil_gram(m):

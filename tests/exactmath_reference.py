@@ -1,6 +1,7 @@
 """Dense congruence diagonalization over Q, kept as the oracle for the
-fraction-free ``twoquadrics.exactmath.gram_diagonalize``, and the identity
-matrix the tests build on.
+fraction-free ``twoquadrics.exactmath.gram_diagonalize``, and the small
+dense helpers the tests build on: the identity, the transpose, a
+matrix-vector product and an integer kernel basis from the Smith form.
 
 ``gram_diagonalize`` here works on Fractions and carries the congruence
 transform along: every symmetric column operation rewrites a full row and
@@ -10,9 +11,27 @@ rule as the library routine, so the two diagonals agree entry for entry.
 
 from fractions import Fraction
 
+from twoquadrics.exactmath import smith_normal_form
+
 
 def identity(n):
     return [[Fraction(i == j) for j in range(n)] for i in range(n)]
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def mat_vec(a, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
+def integer_kernel_basis(m):
+    """Basis of the integer kernel {x in Z^cols : m*x = 0}, via SNF."""
+    cols = len(m[0])
+    diag, _, right = smith_normal_form(m)
+    kernel_cols = [j for j in range(cols) if j >= len(diag) or diag[j] == 0]
+    return [[right[i][j] for i in range(cols)] for j in kernel_cols]
 
 
 def gram_diagonalize(g):

@@ -95,7 +95,7 @@ def test_criterion_06_restriction_map():
         ok = ok and bool(kernel[0][1]) and not any(
             kernel[0][j] for j in range(len(kernel[0])) if j != 1
         )
-        ok = ok and rmap.rank() == m + 4
+        ok = ok and rank(rmap.matrix) == m + 4
     _record(6, "restriction map is pairing-compatible with the stated kernel", ok)
 
 

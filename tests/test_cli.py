@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import twoquadrics
-from twoquadrics import cli, smoothcheck, specialfiber
+from twoquadrics import cli, exactmath, geombasis, smoothcheck, specialfiber
 from twoquadrics.cli import (
     EXIT_CONFIG,
     EXIT_DISCREPANCY,
@@ -153,6 +153,43 @@ def test_smoothness_walks_each_prime_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "smoothness", "--m", "4", "--primes", "7,11")
     assert code == EXIT_OK
     assert walks == [7, 11]
+
+
+def test_geombasis_clears_denominators_as_often_at_every_m(capsys, monkeypatch):
+    # the power sums are built by running products from one clearing, so
+    # the moment arithmetic of a report does not grow with m
+    calls = []
+    real = geombasis._cleared
+
+    def counting(values):
+        calls.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(geombasis, "_cleared", counting)
+    per_report = []
+    for m in (4, 40):
+        calls.clear()
+        code, _, _ = run_cli(capsys, "geombasis", "--m", str(m))
+        assert code == EXIT_OK
+        per_report.append(len(calls))
+    assert per_report[0] == per_report[1], per_report
+
+
+def test_fiber_eliminates_the_restriction_matrix_once(capsys, monkeypatch):
+    # the rank is read off the kernel's elimination, not run again
+    m = 6
+    target = specialfiber.restriction_map(m).matrix
+    runs = []
+    real = exactmath.echelon
+
+    def counting(mat, p=None):
+        runs.append(tuple(map(tuple, mat)) == target)
+        return real(mat, p)
+
+    monkeypatch.setattr(exactmath, "echelon", counting)
+    code, _, _ = run_cli(capsys, "fiber", "--m", str(m))
+    assert code == EXIT_OK
+    assert runs.count(True) == 1
 
 
 def test_nonpositive_budget_is_config_error(capsys):

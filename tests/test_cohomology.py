@@ -6,7 +6,7 @@ from math import prod
 import pytest
 
 import cohomology_reference as reference
-from exactmath_reference import identity
+from exactmath_reference import identity, integer_kernel_basis, mat_vec, transpose
 from twoquadrics import cli, cohomology
 from twoquadrics.cohomology import (
     _index_over_omega,
@@ -21,14 +21,11 @@ from twoquadrics.cohomology import (
 from twoquadrics.exactmath import (
     det,
     gram_diagonalize,
-    integer_kernel_basis,
     mat_mul,
-    mat_vec,
     rank,
     signature,
     smith_normal_form,
     solve_exact,
-    transpose,
 )
 
 CLOSED_FORMS = (integral_gram_det, lattice_index, primitive_gram)

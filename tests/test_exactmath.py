@@ -7,21 +7,19 @@ import pytest
 
 import cohomology_reference
 import exactmath_reference as reference
-from exactmath_reference import identity
+from exactmath_reference import identity, integer_kernel_basis, transpose
 from twoquadrics.cohomology import pairing_constants
 from twoquadrics.exactmath import (
     GaussRational,
     IMAG_UNIT,
     det,
     gram_diagonalize,
-    integer_kernel_basis,
     kernel_basis,
     mat_mul,
     rank,
     signature,
     smith_normal_form,
     solve_exact,
-    transpose,
 )
 
 

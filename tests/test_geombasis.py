@@ -9,6 +9,7 @@ from twoquadrics.geombasis import (
     default_config,
     lagrange_weights,
     power_sum,
+    power_sums,
     verify_plane_in_x,
     verify_points_on_quadrics,
 )
@@ -127,16 +128,18 @@ def test_integer_weights_and_power_sums_match_fraction_oracle():
         weights = lagrange_weights(cfg)
         assert weights == reference.lagrange_weights(cfg) == cfg.weights
         assert all(type(c) is Fraction for c in weights)
+        sums = power_sums(cfg, cfg.m + 5)
         for p in range(cfg.m + 5):
             value = power_sum(cfg, p)
-            assert value == reference.power_sum(cfg, p), (cfg, p)
-            assert type(value) is Fraction
-    # both routes read the weights from the config at call time
+            assert value == sums[p] == reference.power_sum(cfg, p), (cfg, p)
+            assert type(value) is Fraction and type(sums[p]) is Fraction
+    # every route reads the weights from the config at call time
     cfg = configs[0]
     object.__setattr__(cfg, "weights", cfg.weights[:-1] + (cfg.weights[-1] + Fraction(1, 7),))
     assert power_sum(cfg, 0) == Fraction(1, 7)
+    sums = power_sums(cfg, cfg.m + 5)
     for p in range(cfg.m + 5):
-        assert power_sum(cfg, p) == reference.power_sum(cfg, p)
+        assert power_sum(cfg, p) == sums[p] == reference.power_sum(cfg, p)
 
 
 def test_plane_check_rejects_a_perturbed_weight():
