@@ -173,8 +173,9 @@ def run_geombasis(cfg: dict) -> dict:
         else geombasis.default_config(m)
     )
     sums = geombasis.power_sums(config, m + 3)
-    sums_ok = all(s == 0 for s in sums[: m + 2]) and sums[m + 2] == 1
-    on_quadrics = geombasis.verify_points_on_quadrics(config)
+    # at the spanning points the two quadrics are the sums s_0 .. s_{m+1}
+    on_quadrics = not any(sums[: m + 2])
+    sums_ok = on_quadrics and sums[m + 2] == 1
     plane = geombasis.verify_plane_in_x(config, trials=cfg["trials"], seed=cfg["seed"])
     claims = [
         _claim("weighted-power-sums-vanish-below-node-count", sums_ok),

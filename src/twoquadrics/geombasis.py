@@ -74,6 +74,10 @@ def power_sums(cfg: LambdaConfig, count: int) -> list[Fraction]:
     return sums
 
 
+# The two projections of ``power_sums`` below keep their own names because
+# the benchmark's traced run (bench/layers.py) wraps them by name, and an
+# absent name fails its smoke run; the geombasis section calls neither, and
+# they go once the benchmark traces power_sums instead.
 def power_sum(cfg: LambdaConfig, p: int) -> Fraction:
     """The one sum s_p of ``power_sums``."""
     return power_sums(cfg, p + 1)[p]

@@ -26,8 +26,10 @@ class DegenerateReductionError(ValueError):
 
 
 class Poly:
-    """Sparse multivariate polynomial with integer coefficients: the
-    equations of the family, fingerprinted in every report."""
+    """Sparse multivariate polynomial with integer coefficients.  Nothing in
+    the package builds one: it is the base of the tests' generic route and
+    the benchmark counts its ``eval_mod`` calls, and it moves to the tests
+    with the next benchmark change (ROADMAP item 1)."""
 
     __slots__ = ("nvars", "terms")
 
@@ -49,40 +51,13 @@ class Poly:
             acc += coeff
         return acc % p
 
-    def content_hash(self) -> str:
-        import hashlib  # here, so that importing the package does not load it
-
-        blob = repr(sorted(self.terms.items())).encode()
-        return hashlib.sha256(blob).hexdigest()[:12]
-
     def __repr__(self) -> str:
         return f"Poly({self.nvars}, {dict(sorted(self.terms.items()))})"
 
 
-def diagonal_quadric(weights) -> Poly:
-    n = len(weights)
-    terms = {}
-    for i, w in enumerate(weights):
-        exps = [0] * n
-        exps[i] = 2
-        terms[tuple(exps)] = int(w)
-    return Poly(n, terms)
-
-
-def linear_form(coeffs) -> Poly:
-    n = len(coeffs)
-    terms = {}
-    for i, c in enumerate(coeffs):
-        exps = [0] * n
-        exps[i] = 1
-        terms[tuple(exps)] = int(c)
-    return Poly(n, terms)
-
-
 class PencilData:
     """Integer data defining the family: diagonal weights and the two
-    linear forms, all in m+3 homogeneous variables.  Equal data compare
-    and hash equal."""
+    linear forms, all in m+3 homogeneous variables."""
 
     __slots__ = ("m", "lambdas", "g1", "g2")
 
@@ -98,26 +73,6 @@ class PencilData:
         self.lambdas = lambdas
         self.g1 = g1
         self.g2 = g2
-
-    def _key(self) -> tuple:
-        return (self.m, self.lambdas, self.g1, self.g2)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PencilData):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def polys(self) -> dict[str, Poly]:
-        n = self.m + 3
-        return {
-            "f1": diagonal_quadric([1] * n),
-            "f2": diagonal_quadric(self.lambdas),
-            "g1": linear_form(self.g1),
-            "g2": linear_form(self.g2),
-        }
 
 
 def projective_reps(nvars: int, p: int):
@@ -137,8 +92,13 @@ def _rank_mod(rows, p: int) -> int:
     return len(echelon(rows, p)[1])
 
 
-def _forms_independent(g1, g2, p: int) -> bool:
-    return _rank_mod([list(g1), list(g2)], p) == 2
+def _pivot_minor(g1, g2, p: int):
+    """(d, r, s): the first nonzero 2x2 minor d of the forms mod p, on the
+    columns r < s, or None when the forms are dependent mod p."""
+    n = len(g1)
+    pairs = ((r, s) for r in range(n) for s in range(r + 1, n))
+    minors = (((g1[r] * g2[s] - g1[s] * g2[r]) % p, r, s) for r, s in pairs)
+    return next((minor for minor in minors if minor[0]), None)
 
 
 def _validate(data: PencilData, p: int) -> list[tuple[int, int]]:
@@ -146,7 +106,7 @@ def _validate(data: PencilData, p: int) -> list[tuple[int, int]]:
     pairs of weights that collide mod p, for the caller to label."""
     if p == 2:
         raise DegenerateReductionError("in characteristic 2 every quadric gradient vanishes")
-    if not _forms_independent(data.g1, data.g2, p):
+    if _pivot_minor(data.g1, data.g2, p) is None:
         raise DegenerateReductionError(
             f"the two linear forms are dependent mod {p}; "
             "choose a different pair or another prime"
@@ -177,11 +137,7 @@ def _head_prefixes(nvars: int, p: int):
     """``projective_reps(nvars, p)`` split at the last coordinate: groups of
     prefixes with the values z that complete each of them, such that the
     points ``prefix + (z,)`` come in ``projective_reps`` order."""
-    yield (
-        (0,) * lead + (1,) + tail
-        for lead in range(nvars - 1)
-        for tail in product(range(p), repeat=nvars - 2 - lead)
-    ), range(p)
+    yield projective_reps(nvars - 1, p), range(p)
     yield [(0,) * (nvars - 1)], (1,)
 
 
@@ -255,13 +211,7 @@ def _span_projection(g1, g2, p: int):
     independent forms: v -> d*v - mu*g1 - nu*g2, where d is a nonzero 2x2
     minor of (g1, g2) on columns (r, s) and mu, nu are the Cramer
     numerators of v's coordinates in g1 and g2 on those columns."""
-    n = len(g1)
-    d, r, s = next(
-        (d, r, s)
-        for r in range(n)
-        for s in range(r + 1, n)
-        if (d := (g1[r] * g2[s] - g1[s] * g2[r]) % p)
-    )
+    d, r, s = _pivot_minor(g1, g2, p)
 
     def project(v):
         mu = v[r] * g2[s] - v[s] * g2[r]
@@ -272,7 +222,24 @@ def _span_projection(g1, g2, p: int):
 
 
 def _equation_hashes(data: PencilData) -> dict[str, str]:
-    return {name: poly.content_hash() for name, poly in data.polys().items()}
+    """Each equation's fingerprint: the SHA-256 of the repr of its sorted
+    nonzero (exponents, coefficient) pairs, to 12 hex digits, read off the
+    coefficients c and power k of c_0 x_0^k + ... + c_{n-1} x_{n-1}^k."""
+    import hashlib  # here, so that importing the package does not load it
+
+    n = data.m + 3
+
+    def fingerprint(coeffs, power: int) -> str:
+        exps = [(0,) * i + (power,) + (0,) * (n - 1 - i) for i in range(n)]
+        terms = sorted((e, c) for e, c in zip(exps, map(int, coeffs)) if c)
+        return hashlib.sha256(repr(terms).encode()).hexdigest()[:12]
+
+    return {
+        "f1": fingerprint((1,) * n, 2),
+        "f2": fingerprint(data.lambdas, 2),
+        "g1": fingerprint(data.g1, 1),
+        "g2": fingerprint(data.g2, 1),
+    }
 
 
 def smoothness_scan(data: PencilData, p: int) -> tuple[dict, dict]:
@@ -494,7 +461,7 @@ def _form_degeneracies(lambdas, g1, g2, p: int) -> list[str]:
     independent forms, smooth component quadrics, a smooth divisor
     section, and a smooth blow-up center."""
     problems = []
-    if not _forms_independent(g1, g2, p):
+    if _pivot_minor(g1, g2, p) is None:
         return ["linear forms dependent"]
     s11 = sum(a * a for a in g1) % p
     s22 = sum(b * b for b in g2) % p

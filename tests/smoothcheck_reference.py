@@ -1,22 +1,19 @@
 """The generic route through the smoothness checks, kept as a reference for
 the closed-form kernel in ``twoquadrics.smoothcheck``.
 
-Here every equation is a ``Poly``, every point of projective space is
-visited, every chart point is found by trying all (t, chart coordinate)
-pairs, and every rank is the rank of the full matrix of formal partials.
-The reports it builds must equal the kernel's, failure lists and their
-order included.
+Here every equation is a ``Poly`` built term by term and fingerprinted
+from its terms, every point of projective space is visited, every chart
+point is found by trying all (t, chart coordinate) pairs, and every rank
+is the rank of the full matrix of formal partials.  The reports it builds
+must equal the kernel's, fingerprints, failure lists and their order
+included.
 """
+
+import hashlib
 
 from twoquadrics import smoothcheck
 from twoquadrics.exactmath import kernel_basis, rank
-from twoquadrics.smoothcheck import (
-    PencilData,
-    _equation_hashes,
-    _validate,
-    projective_count,
-    projective_reps,
-)
+from twoquadrics.smoothcheck import PencilData, _validate, projective_count, projective_reps
 
 
 class BudgetExceededError(RuntimeError):
@@ -28,10 +25,6 @@ class Poly(smoothcheck.Poly):
     partials of the generic route."""
 
     __slots__ = ()
-
-    @staticmethod
-    def of(poly: smoothcheck.Poly) -> "Poly":
-        return Poly(poly.nvars, poly.terms)
 
     @staticmethod
     def constant(nvars: int, value: int) -> "Poly":
@@ -79,10 +72,50 @@ class Poly(smoothcheck.Poly):
                 out[key] = out.get(key, 0) + coeff * e
         return Poly(self.nvars, out)
 
+    def content_hash(self) -> str:
+        """SHA-256 of the repr of the sorted terms, to 12 hex digits."""
+        blob = repr(sorted(self.terms.items())).encode()
+        return hashlib.sha256(blob).hexdigest()[:12]
+
+
+def diagonal_quadric(weights) -> Poly:
+    n = len(weights)
+    terms = {}
+    for i, w in enumerate(weights):
+        exps = [0] * n
+        exps[i] = 2
+        terms[tuple(exps)] = int(w)
+    return Poly(n, terms)
+
+
+def linear_form(coeffs) -> Poly:
+    n = len(coeffs)
+    terms = {}
+    for i, c in enumerate(coeffs):
+        exps = [0] * n
+        exps[i] = 1
+        terms[tuple(exps)] = int(c)
+    return Poly(n, terms)
+
+
+def equations(data: PencilData) -> dict[str, Poly]:
+    """f1, f2, g1 and g2 in the m+3 homogeneous coordinates."""
+    n = data.m + 3
+    return {
+        "f1": diagonal_quadric([1] * n),
+        "f2": diagonal_quadric(data.lambdas),
+        "g1": linear_form(data.g1),
+        "g2": linear_form(data.g2),
+    }
+
+
+def equation_hashes(data: PencilData) -> dict[str, str]:
+    return {name: poly.content_hash() for name, poly in equations(data).items()}
+
 
 def polys(data: PencilData, nvars: int) -> dict[str, Poly]:
     """f1, f2, g1 and g2 in the first m+3 of ``nvars`` variables."""
-    return {k: Poly.of(v).pad(nvars) for k, v in data.polys().items()}
+    return {k: v.pad(nvars) for k, v in equations(data).items()}
 
 
 EVIDENCE_NOTE = (
@@ -110,10 +143,7 @@ def jacobian_rank(system, point, p: int) -> int:
     variety; rows are equations, columns variables."""
     if any(poly.eval_mod(point, p) != 0 for poly in system):
         raise ValueError("point does not satisfy the system")
-    rows = [
-        [poly.partial(i).eval_mod(point, p) for i in range(poly.nvars)]
-        for poly in map(Poly.of, system)
-    ]
+    rows = [[poly.partial(i).eval_mod(point, p) for i in range(poly.nvars)] for poly in system]
     return rank(rows, p)
 
 
@@ -141,7 +171,7 @@ def total_space(data: PencilData) -> list[Poly]:
 def singular_locus_check(data: PencilData, p: int) -> dict:
     collisions = _validate(data, p)
     system = total_space(data)
-    base = data.polys()
+    base = equations(data)
     scanned = 0
     on_family = 0
     t_zero_expected = []
@@ -171,7 +201,7 @@ def singular_locus_check(data: PencilData, p: int) -> dict:
         "check": "singular-locus",
         "m": data.m,
         "prime": p,
-        "equations": _equation_hashes(data),
+        "equations": equation_hashes(data),
         "lambda_collisions": collisions,
         "points_scanned": scanned,
         "points_on_family": on_family,
@@ -195,7 +225,7 @@ def chart_smoothness_check(data: PencilData, p: int) -> dict:
     collisions = _validate(data, p)
     n = data.m + 3
     charts = chart_systems(data)
-    base = data.polys()
+    base = equations(data)
     f1, f2, g1, g2 = (base[k] for k in ("f1", "f2", "g1", "g2"))
     chart_points = 0
     chart_failures = []
@@ -227,7 +257,7 @@ def chart_smoothness_check(data: PencilData, p: int) -> dict:
         "check": "chart-smoothness",
         "m": data.m,
         "prime": p,
-        "equations": _equation_hashes(data),
+        "equations": equation_hashes(data),
         "lambda_collisions": collisions,
         "chart_points": chart_points,
         "chart_rank_failures": chart_failures,

@@ -319,6 +319,24 @@ def test_colliding_weights_are_labelled_degenerate_and_inconclusive(capsys):
     assert all(c["degenerate"] and c["lambda_collisions"] == COLLISIONS_MOD_3 for c in section["claims"])
 
 
+def test_smoothness_scans_the_given_integer_lambdas(capsys):
+    # 0 and 7 collide mod 7 only, so p = 7 is no evidence and p = 11 is
+    weights = [0, 1, 2, 3, 4, 5, 7]
+    argv = ("smoothness", "--m", "4", "--lambdas", ",".join(map(str, weights)), "--format", "json")
+    code, out, _ = run_cli(capsys, *argv, "--primes", "7")
+    assert code == EXIT_INCONCLUSIVE
+    section = json.loads(out)["sections"][0]
+    assert section["pencil"]["lambdas"] == weights
+    assert len(section["claims"]) == 3
+    assert all(c["degenerate"] and c["lambda_collisions"] == [[0, 6]] for c in section["claims"])
+    code, out, _ = run_cli(capsys, *argv, "--primes", "7,11")
+    assert code == EXIT_OK
+    assert json.loads(out)["sections"][0]["pencil"]["lambdas"] == weights
+    code, _, err = run_cli(capsys, "smoothness", "--m", "4", "--lambdas", "1/2,1,2,3,4,5,6")
+    assert code == EXIT_CONFIG
+    assert "--lambdas" in err
+
+
 def test_colliding_prime_is_not_evidence_either_way(capsys, monkeypatch):
     real = smoothcheck.smoothness_scan
 

@@ -8,21 +8,22 @@ from smoothcheck_reference import (
     BudgetExceededError,
     Poly,
     chart_systems,
+    diagonal_quadric,
     enumerate_points,
     jacobian_rank,
+    linear_form,
 )
 from twoquadrics import smoothcheck
 from twoquadrics.smoothcheck import (
     DegenerateReductionError,
     PencilData,
     _center_singular_mod,
-    _forms_independent,
+    _equation_hashes,
+    _pivot_minor,
     _rank_mod,
     _scan_base,
     chart_smoothness_check,
     default_pencil,
-    diagonal_quadric,
-    linear_form,
     projective_count,
     projective_reps,
     singular_locus_check,
@@ -70,7 +71,7 @@ def test_quadric_point_counts_against_both_formulas():
 
 def test_center_nonempty_over_seven():
     data = default_pencil(4, primes=(5, 7, 11), seed=0)
-    polys = data.polys()
+    polys = reference.equations(data)
     pts = enumerate_points(
         [polys["f1"], polys["f2"], polys["g1"], polys["g2"]], 7
     )
@@ -100,7 +101,7 @@ def _total_space_system(data, t_value, p):
 def test_jacobian_rank_on_family_points():
     data = default_pencil(2, primes=(5,), seed=0)
     p = 5
-    polys = data.polys()
+    polys = reference.equations(data)
     center = enumerate_points(
         [polys["f1"], polys["f2"], polys["g1"], polys["g2"]], p
     )
@@ -182,7 +183,38 @@ def test_default_pencil_screens_reductions():
     assert len(data.lambdas) == len(data.g1) == len(data.g2) == 7
     # deterministic for a fixed seed
     again = default_pencil(4, primes=(5, 7), seed=0)
-    assert data == again
+    assert (again.lambdas, again.g1, again.g2) == (data.lambdas, data.g1, data.g2)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        *(default_pencil(m, seed=seed) for m in (2, 4, 6, 10) for seed in (0, 3)),
+        PencilData(2, (7, -10, 3, -19, 8), (0, 2, 0, 2, 1), (2, 0, 1, 2, 0)),
+    ],
+)
+def test_equation_fingerprints_equal_the_hashes_of_the_built_terms(data):
+    # zero coefficients drop out of the terms, negative weights keep their sign
+    assert _equation_hashes(data) == reference.equation_hashes(data)
+
+
+def test_pivot_minor_decides_independence_as_the_rank_does():
+    verdicts = set()
+    for seed in range(200):
+        rng = Random(seed)
+        p = rng.choice((2, 3, 5, 7))
+        n = rng.randint(2, 6)
+        g1 = [rng.randrange(-p, p) if rng.random() < 0.6 else 0 for _ in range(n)]
+        g2 = [rng.randrange(-p, p) if rng.random() < 0.6 else 0 for _ in range(n)]
+        if seed % 3 == 0:  # a multiple of the first form
+            g2 = [rng.randrange(p) * v for v in g1]
+        minor = _pivot_minor(g1, g2, p)
+        assert (minor is not None) == (_rank_mod([g1, g2], p) == 2), seed
+        if minor is not None:
+            d, r, s = minor
+            assert d == (g1[r] * g2[s] - g1[s] * g2[r]) % p != 0
+        verdicts.add(minor is None)
+    assert verdicts == {True, False}
 
 
 def test_pencil_data_validation():
@@ -204,7 +236,7 @@ def test_scan_base_walks_exactly_the_quadric(m, p):
     # both parities of m+3; the scan also checks its count against the
     # closed form and raises on a mismatch
     data = _generic_data(m)
-    polys = data.polys()
+    polys = reference.equations(data)
     scanned = list(_scan_base(data, p))
     assert [item[0] for item in scanned] == enumerate_points([polys["f1"]], p)
     for pt, v1, v2, w1, w2 in scanned:
@@ -326,7 +358,7 @@ def test_center_screen_equals_the_dense_reference(m, p, draws, monkeypatch):
             (tuple(rng.randrange(p) for _ in range(n)), *sparse),
         ]
         for lambdas, f1, f2 in cases:
-            if not _forms_independent(f1, f2, p):
+            if _pivot_minor(f1, f2, p) is None:
                 continue
             verdict = _center_singular_mod(lambdas, f1, f2, p)
             assert verdict == reference.center_singular_mod(lambdas, f1, f2, p), (
@@ -348,7 +380,7 @@ def test_center_screen_in_characteristic_two_equals_the_dense_reference():
             rng = Random(seed)
             lambdas = tuple(rng.sample(range(-50, 50), n))
             g1, g2 = (tuple(rng.randrange(2) for _ in range(n)) for _ in range(2))
-            if not _forms_independent(g1, g2, 2):
+            if _pivot_minor(g1, g2, 2) is None:
                 continue
             verdict = _center_singular_mod(lambdas, g1, g2, 2)
             assert verdict == reference.center_singular_mod(lambdas, g1, g2, 2), (m, seed)
@@ -391,7 +423,7 @@ def test_span_projection_decides_the_divisor_and_center_ranks():
         elif kind == 3:  # x an eigenvector of lambda
             i = rng.randrange(n)
             x = [v if lambdas[j] == lambdas[i] else 0 for j, v in enumerate(x)]
-        if not _forms_independent(g1, g2, p) or not any(v % p for v in x):
+        if _pivot_minor(g1, g2, p) is None or not any(v % p for v in x):
             continue
         lx = [lam * v for lam, v in zip(lambdas, x)]
         project = smoothcheck._span_projection(g1, g2, p)
