@@ -54,6 +54,10 @@ def _fmt_gauss(value) -> str:
 
 
 def _jsonable(value):
+    # the common leaves first: for any other type the Fraction test goes
+    # through ABCMeta.__instancecheck__
+    if value is None or isinstance(value, (str, int)):
+        return value
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, dict):

@@ -93,45 +93,110 @@ def verify_points_on_quadrics(cfg: LambdaConfig) -> bool:
     return not any(power_sums(cfg, cfg.m + 2))
 
 
+# Trials evaluated together, and coefficients per packed chunk; see
+# verify_plane_in_x.
+_BLOCK = 100
+_CHUNK = 32
+
+
+def _packed_node_values(rows, nodes):
+    """For each node a, in order, the list [sum_k row[k] * a^k for each row]:
+    the rows are integer coefficient lists of one length, constant term
+    first, evaluated together in packed chunks as ``verify_plane_in_x``
+    describes."""
+    count = len(rows[0])
+    radius = max(abs(a) for a in nodes)
+    bound = max(abs(c) for row in rows for c in row) * sum(
+        radius**r for r in range(min(_CHUNK, count))
+    )
+    size = (bound.bit_length() + 8) // 8  # bytes per slot: bound < 2^(8*size-1)
+    half = 1 << (8 * size - 1)
+    slots = len(rows)
+    offset = int.from_bytes(half.to_bytes(size, "little") * slots, "little")
+    packed = [
+        int.from_bytes(
+            b"".join((row[k] + half).to_bytes(size, "little") for row in rows), "little"
+        )
+        - offset
+        for k in range(count)
+    ]
+    length = slots * size
+    starts = range(0, count, _CHUNK)[::-1]
+    for a in nodes:
+        chunks = []
+        for start in starts:
+            acc = 0
+            for coeff in reversed(packed[start : start + _CHUNK]):
+                acc = acc * a + coeff
+            raw = (acc + offset).to_bytes(length, "little")
+            chunks.append(
+                [int.from_bytes(raw[s : s + size], "little") - half for s in range(0, length, size)]
+            )
+        values = chunks[0]
+        radix = a**_CHUNK
+        for chunk in chunks[1:]:
+            values = [h * radix + v for h, v in zip(values, chunk)]
+        yield values
+
+
 def verify_plane_in_x(cfg: LambdaConfig, trials: int = 100, seed: int = 0) -> bool:
     """Random points of the plane satisfy both quadrics exactly.
 
-    A point is parametrized by a polynomial q of degree at most m/2; the
+    A point is parametrized by a polynomial q of degree at most m/2 whose
+    coefficients are drawn as n/d with -9 <= n <= 9 and 1 <= d <= 9; the
     two quadrics evaluate to sum_i c_i q(lambda_i)^2 and
     sum_i c_i lambda_i q(lambda_i)^2, which must both vanish.  Both sums
     are taken in integers, times a nonzero constant: with b the lcm of the
-    node denominators, a_i = lambda_i*b, and the denominators of q cleared
-    to Q, H_i = sum_k Q_k a_i^k b^(deg-k) is a multiple of q(lambda_i)
-    that is the same for every i.  The weights c_i are scaled by L to
-    integers W1_i, and W2_i = W1_i*a_i is c_i*lambda_i scaled by L*b.
+    node denominators and a_i = lambda_i*b, the coefficients become
+    Q_k = q_k * 2520 * b^(deg-k) (2520 is a multiple of every d), so
+    H_i = sum_k Q_k a_i^k is 2520 * b^deg * q(lambda_i), the same multiple
+    for every i.  The weights c_i are scaled by L to integers W_i, and each
+    node adds u = W_i * H_i^2 to the first sum and u * a_i to the second.
+
+    The values H_i are exact, but taken for a block of trials at once.
+    Each coefficient index is packed across the block into one integer,
+    the trials' coefficients in signed slots w bits wide (w a multiple of
+    8).  The coefficients are split into chunks of S consecutive ones,
+    and Horner's rule on the packed integers evaluates every trial's
+    chunk value sum_{r<S} Q_{jS+r} a^r at once: multiplying by a and
+    adding act on each slot separately as long as every slot stays inside
+    (-2^(w-1), 2^(w-1)), which max|Q| * sum_{r<S} max|a|^r < 2^(w-1), the
+    bound w is chosen from, ensures.  Adding the offset 2^(w-1) to every
+    slot makes each one nonnegative, so the slots are read off the bytes
+    of the sum and the offset taken away again.  Each trial then combines
+    its chunk values by Horner's rule in the radix a^S.
+
+    S trades the packed work against the per-trial work: a slot needs
+    about log2|a| bits per coefficient of a chunk, and every chunk past
+    the first costs each trial one multiplication by a^S at every node.
+    With a single chunk the slots are as wide as H from the first step,
+    and the packed integers grow with m^2 times the trials.  S = 32 keeps
+    the slots near 300 bits at m = 480, where it beat 8, 16, 64 and 128;
+    up to m = 62 a polynomial is a single chunk.
     """
     if cfg.m < 0 or cfg.m % 2:
         raise ValueError("even dimension required")
     if trials < 1:
         raise ValueError("trials must be positive")
-    rng = random.Random(seed)
+    randint = random.Random(seed).randint
     degree = cfg.m // 2
     b, nodes = _cleared(cfg.lambdas)
-    b_powers = [b**e for e in range(degree + 1)]
-    _, w1 = _cleared(cfg.weights)
-    w2 = [w * a for w, a in zip(w1, nodes)]
-    for _ in range(trials):
-        q = [
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            for _ in range(degree + 1)
+    scales = [b ** (degree - k) for k in range(degree + 1)]
+    _, weights = _cleared(cfg.weights)
+    for start in range(0, trials, _BLOCK):
+        # numerator, then denominator, coefficient by coefficient: the draws
+        # of Fraction(randint(-9, 9), randint(1, 9))
+        rows = [
+            [randint(-9, 9) * (2520 // randint(1, 9)) * scale for scale in scales]
+            for _ in range(min(_BLOCK, trials - start))
         ]
-        den = lcm(*(x.denominator for x in q))
-        # Q_k * b^(deg-k), highest degree first for Horner's rule
-        coeffs = [int(x * den) * b_powers[degree - k] for k, x in enumerate(q)][::-1]
-        first = 0
-        second = 0
-        for a, c1, c2 in zip(nodes, w1, w2):
-            acc = 0
-            for coeff in coeffs:
-                acc = acc * a + coeff
-            sq = acc * acc
-            first += c1 * sq
-            second += c2 * sq
-        if first or second:
+        first = [0] * len(rows)
+        second = [0] * len(rows)
+        for a, w, values in zip(nodes, weights, _packed_node_values(rows, nodes)):
+            for t, h in enumerate(values):
+                u = w * (h * h)
+                first[t] += u
+                second[t] += u * a
+        if any(first) or any(second):
             return False
     return True

@@ -123,15 +123,24 @@ def mv_kernel_labels(m: int) -> tuple[str, ...]:
 
 def mv_kernel(m: int) -> list[FiberClass]:
     """Named basis of the kernel of gamma, verified against the computed
-    null space: the span is checked to coincide before returning."""
+    null space: the span is checked to coincide before returning.  The
+    classes are built by coordinate index from one read of the labels."""
+    labels = fiber_basis_labels(m)
+    at = {lbl: k for k, lbl in enumerate(labels)}
+    zero, one = Fraction(0), Fraction(1)
+
+    def named_class(*terms):
+        coeffs = [zero] * len(labels)
+        for lbl, c in terms:
+            coeffs[at[lbl]] = c
+        return FiberClass(m, tuple(coeffs))
+
     named = [
-        FiberClass.from_labels(m, {"h1": 1, "h2": 1}),
-        FiberClass.from_labels(m, {"h1": 1, "hz": 1, "h2": -1}),
-        FiberClass.from_labels(m, {"beta": 1}),
-        FiberClass.from_labels(m, {"theta": 1}),
-    ] + [
-        FiberClass.from_labels(m, {f"z{i}": 1}) for i in range(1, m + 2)
-    ]
+        named_class(("h1", one), ("h2", one)),
+        named_class(("h1", one), ("hz", one), ("h2", -one)),
+        named_class(("beta", one)),
+        named_class(("theta", one)),
+    ] + [named_class((f"z{i}", one)) for i in range(1, m + 2)]
     gamma = gamma_matrix(m)
     nullity = len(gamma[0]) - rank(gamma)
     support = [(k, g) for k, g in enumerate(gamma[0]) if g]

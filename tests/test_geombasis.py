@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import geombasis_reference as reference
+from twoquadrics import geombasis
 from twoquadrics.geombasis import (
     LambdaConfig,
     default_config,
@@ -113,11 +114,68 @@ def _random_rational_config(rng, m):
 
 def test_plane_check_matches_fraction_oracle():
     rng = random.Random(53)
-    for m in (2, 4, 6, 8):
-        for seed in range(6):
-            cfg = _random_rational_config(rng, m)
-            assert verify_plane_in_x(cfg, trials=8, seed=seed)
-            assert reference.verify_plane_in_x(cfg, trials=8, seed=seed)
+    runs = [
+        (_random_rational_config(rng, m), 8, seed) for m in (2, 4, 6, 8) for seed in range(6)
+    ]
+    # the benchmark's configuration, and a run over two blocks of trials
+    runs.append((default_config(40), 100, 1))
+    runs.append((_random_rational_config(rng, 6), geombasis._BLOCK + 1, 3))
+    for cfg, trials, seed in runs:
+        assert verify_plane_in_x(cfg, trials=trials, seed=seed)
+        assert reference.verify_plane_in_x(cfg, trials=trials, seed=seed)
+
+
+def _horner(row, a):
+    acc = 0
+    for c in reversed(row):
+        acc = acc * a + c
+    return acc
+
+
+def _packed_values_checked_by_horner(rows, nodes):
+    values = list(geombasis._packed_node_values(rows, nodes))
+    assert values == [[_horner(row, a) for row in rows] for a in nodes]
+    return values
+
+
+def test_packed_node_values_match_integer_horner():
+    chunk = geombasis._CHUNK
+    rng = random.Random(73)
+    # numerators -9..9 over denominators 5, 7, 8 and 9, cleared by 2520
+    cleared = [n * (2520 // d) for n in range(-9, 10) for d in (5, 7, 8, 9)]
+    for degree in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        for nodes in (list(range(degree + 3)), [-7, -3, 0, 2, 11], [-40, 39]):
+            for trials in (1, 3, geombasis._BLOCK + 1):
+                rows = [[rng.choice(cleared) for _ in range(degree + 1)] for _ in range(trials)]
+                _packed_values_checked_by_horner(rows, nodes)
+            # rows at the slot bound: every chunk value is max|c| times
+            # sum_r max|a|^r at a = max|a|, or at a = -max|a| with the signs
+            # alternating
+            top = 9 * 2520
+            radius = max(map(abs, nodes))
+            rows = [
+                [top] * (degree + 1),
+                [-top] * (degree + 1),
+                [top * (-1) ** k for k in range(degree + 1)],
+                [-top * (-1) ** k for k in range(degree + 1)],
+            ]
+            _packed_values_checked_by_horner(rows, sorted({radius, -radius} | set(nodes)))
+
+
+def test_packed_node_values_on_rational_nodes():
+    # the plane check's integers: nodes a_i = lambda_i * b, and coefficient
+    # k scaled by 2520 * b^(deg-k), so that the value is 2520 * b^deg * q(lambda_i)
+    rng = random.Random(79)
+    for m in (0, 2, 2 * geombasis._CHUNK - 2, 2 * geombasis._CHUNK, 2 * geombasis._CHUNK + 2):
+        cfg = _random_rational_config(rng, m)
+        b, nodes = geombasis._cleared(cfg.lambdas)
+        degree = m // 2
+        q = [Fraction(rng.randint(-9, 9), rng.choice((5, 7, 8, 9))) for _ in range(degree + 1)]
+        row = [int(c * 2520) * b ** (degree - k) for k, c in enumerate(q)]
+        rows = [row, [-c for c in row]]
+        values = _packed_values_checked_by_horner(rows, nodes)
+        for lam, (h, minus_h) in zip(cfg.lambdas, values):
+            assert h == -minus_h == 2520 * b**degree * reference._eval_poly(q, lam)
 
 
 def test_integer_weights_and_power_sums_match_fraction_oracle():

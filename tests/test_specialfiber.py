@@ -71,6 +71,17 @@ def test_mv_kernel_named_basis_spans_kernel():
         assert rank([list(v.coeffs) for v in basis]) == m + 5
 
 
+def test_mv_kernel_classes_are_their_label_assignments():
+    for m in (4, 6, 40):
+        expected = [
+            FiberClass.from_labels(m, {"h1": 1, "h2": 1}),
+            FiberClass.from_labels(m, {"h1": 1, "hz": 1, "h2": -1}),
+            FiberClass.from_labels(m, {"beta": 1}),
+            FiberClass.from_labels(m, {"theta": 1}),
+        ] + [FiberClass.from_labels(m, {f"z{i}": 1}) for i in range(1, m + 2)]
+        assert [v.coeffs for v in mv_kernel(m)] == [v.coeffs for v in expected]
+
+
 def test_gamma_kills_the_named_classes():
     m = 4
     gamma = gamma_matrix(m)[0]
