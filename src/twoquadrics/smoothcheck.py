@@ -2,13 +2,16 @@
 
 The family lives in A^1 x P^{m+2}: a fixed quadric together with a moving
 equation t*f2 + g1*g2, where f1 is a sum of squares, f2 a diagonal quadric
-with weights lambda_i, and g1, g2 linear forms.  One streamed walk of the
-F_p points of the quadric f1 = 0 per prime, with closed-form values and
-gradients, feeds two reports: that the rank-deficient locus of the total
-space is exactly the base locus {t = f1 = f2 = g1 = g2 = 0}, and that both
+with weights lambda_i, and g1, g2 linear forms.  One streamed walk per
+prime feeds two reports: that the rank-deficient locus of the total space
+is exactly the base locus {t = f1 = f2 = g1 = g2 = 0}, and that both
 blow-up charts are smooth of codimension 3 and the divisor and the
-blow-up center are themselves smooth.  A clean scan at several primes is
-strong evidence for the characteristic-zero statement, not a proof;
+blow-up center are themselves smooth.  The walk visits only the points of
+f1 = 0 with g1*g2 = 0, the two hyperplane sections of the quadric, with
+closed-form values and gradients.  Every other point of f1 = 0 lies on
+one fiber and adds only to two counters, and those are counted in closed
+form from #{f1 = 0} and #{f1 = f2 = 0}.  A clean scan at several primes
+is strong evidence for the characteristic-zero statement, not a proof;
 reports say so.
 """
 
@@ -115,95 +118,160 @@ def _validate(data: PencilData, p: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n) if (lam[i] - lam[j]) % p == 0]
 
 
-def _square_roots(p: int) -> list[list[int]]:
-    """The square roots of each residue mod p, ascending."""
-    roots: list[list[int]] = [[] for _ in range(p)]
-    for y in range(p):
-        roots[y * y % p].append(y)
-    return roots
-
-
-def _quadric_count(n: int, p: int) -> int:
-    """#{x_0^2 + ... + x_{n-1}^2 = 0} in P^{n-1}(F_p) for odd p: the
-    parabolic count, plus chi((-1)^{n/2}) p^{(n-2)/2} when n is even."""
+def _quadric_count(n: int, p: int, disc: int = 1) -> int:
+    """#{Q = 0} in P^{n-1}(F_p) for odd p and a nondegenerate quadratic
+    form Q in n variables of discriminant ``disc`` (f1 itself by default):
+    the parabolic count, plus chi((-1)^{n/2} disc) p^{(n-2)/2} when n is
+    even."""
     count = projective_count(n - 1, p)
     if n % 2 == 0:
-        chi = 1 if pow((-1) ** (n // 2) % p, (p - 1) // 2, p) == 1 else -1
+        chi = 1 if pow((-1) ** (n // 2) * disc % p, (p - 1) // 2, p) == 1 else -1
         count += chi * p ** ((n - 2) // 2)
     return count
 
 
-def _head_prefixes(nvars: int, p: int):
-    """``projective_reps(nvars, p)`` split at the last coordinate: groups of
-    prefixes with the values z that complete each of them, such that the
-    points ``prefix + (z,)`` come in ``projective_reps`` order."""
-    yield projective_reps(nvars - 1, p), range(p)
-    yield [(0,) * (nvars - 1)], (1,)
+def _section_count(g, p: int) -> int:
+    """#{f1 = g = 0} in P^{n-1}(F_p) for a linear form g nonzero mod p.
+
+    On the hyperplane g = 0, f1 restricts to a form of discriminant
+    sum(g_i^2) when that is nonzero.  When it vanishes, g lies on its own
+    hyperplane and spans the radical there: the section is a cone with
+    vertex g over a smooth quadric in n-2 variables of discriminant -1."""
+    n = len(g)
+    disc = sum(v * v for v in g) % p
+    if disc:
+        return _quadric_count(n - 1, p, disc)
+    return 1 + p * _quadric_count(n - 2, p, -1)
+
+
+def _x0_count(lambdas, p: int) -> int:
+    """#X0 = #{f1 = f2 = 0} in P^{n-1}(F_p) for odd p, from the character
+    sum p^2 #{affine points} = sum over (a, b) of prod_i S(a + b*lambda_i),
+    with the Gauss sums S(0) = p and S(c) = chi(c)*G.
+
+    A term with k nonzero arguments carries G^k.  For b != 0 and a = b*u
+    it is chi(b)^k times the term of (u, 1), and for b = 0 and a != 0 it
+    is chi(a)^n times the term of (1, 0): the odd k cancel over b (or a),
+    and the even k are rational through G^2 = chi(-1)*p.  That is O(n*p)
+    work, and exact when weights collide mod p."""
+    n = len(lambdas)
+    nonresidue = [pow(c, (p - 1) // 2, p) == p - 1 for c in range(p)]
+    gauss_square = -p if nonresidue[-1] else p
+
+    def term(args) -> int:
+        nonzero = [c for c in args if c]
+        k = len(nonzero)
+        if k % 2:
+            return 0
+        sign = -1 if sum(nonresidue[c] for c in nonzero) % 2 else 1
+        return sign * p ** (n - k) * gauss_square ** (k // 2)
+
+    total = p**n + (p - 1) * term([1] * n)  # a = b = 0, then b = 0 != a
+    total += (p - 1) * sum(term([(u + lam) % p for lam in lambdas]) for u in range(p))
+    return (total // (p * p) - 1) // (p - 1)
+
+
+def _tails(pairs, lam, key, other, p: int):
+    """tails[r][s]: the last two coordinates (z, y) among ``pairs``, in
+    their order, with z^2 + y^2 = r and key[-2]*z + key[-1]*y = s mod p,
+    each with its terms of f2 and of the linear form ``other``."""
+    (l1, l2), (k1, k2), (o1, o2) = lam[-2:], key[-2:], other[-2:]
+    tails = [[[] for _ in range(p)] for _ in range(p)]
+    for z, y in pairs:
+        tails[(z * z + y * y) % p][(k1 * z + k2 * y) % p].append(
+            ((z, y), l1 * z * z + l2 * y * y, o1 * z + o2 * y)
+        )
+    return tails
 
 
 def _scan_base(data: PencilData, p: int):
-    """Every point of the quadric f1 = 0 in P^{m+2}(F_p), in
-    ``projective_reps`` order, with the values of f1 (zero), f2, g1 and g2.
+    """Every point of f1 = 0 in P^{m+2}(F_p) with g1*g2 = 0, exactly once,
+    with the values of f1 (zero), f2, g1 and g2: the points of the section
+    g1 = 0, then those of g2 = 0 with g1 != 0, head by head.  Each section
+    on its own comes in ``projective_reps`` order.
 
-    The first m+2 coordinates (the head) run over ``projective_reps``, and
-    the last one is solved from a table of square roots.  The sums of
-    squares, f2, g1 and g2 are computed once per prefix (the head without
-    its last coordinate).  The completions (z, y) of a prefix, its last two
-    coordinates, come from a table indexed by the residue z^2 + y^2 they
-    must add, built once per group of prefixes.  The number of points
-    yielded is checked against the closed-form count of the quadric
-    afterwards."""
+    A point is a head of m coordinates in projective order, a third-to-last
+    coordinate u looped per head, and a tail (z, y).  The sums of squares,
+    f2, g1 and g2 of a head are computed once, and u adds its terms.  The
+    tails, with their terms, come from one table per section indexed by the
+    residues that z^2 + y^2 and the section's form must add, so a head and
+    u cost two lookups.  Each section's count, g1 = 0 alone and g2 = 0
+    whether or not g1 = 0, is checked against ``_section_count``
+    afterwards; a mismatch is an internal error."""
     n = data.m + 3
     lam, a, b = data.lambdas, data.g1, data.g2
-    roots = _square_roots(p)
-    found = 0
-    for prefixes, zs in _head_prefixes(n - 1, p):
-        # completions[r]: the (z, y) with z^2 + y^2 = r, z outer and y
-        # ascending, with their terms of f2, g1 and g2
-        completions = [
-            [
-                (
-                    (z, y),
-                    lam[-2] * z * z + lam[-1] * y * y,
-                    a[-2] * z + a[-1] * y,
-                    b[-2] * z + b[-1] * y,
-                )
-                for z in zs
-                for y in roots[(r - z * z) % p]
-            ]
-            for r in range(p)
-        ]
-        for prefix in prefixes:
-            squares = list(map(mul, prefix, prefix))
+    k = n - 3  # the head's length, and the index of u
+    plane = list(product(range(p), repeat=2))
+    line = list(projective_reps(2, p))
+    on_plane = (_tails(plane, lam, a, b, p), _tails(plane, lam, b, a, p))
+    on_line = (_tails(line, lam, a, b, p), _tails(line, lam, b, a, p))
+    zero = (0,) * k
+    groups = (
+        (projective_reps(k, p), range(p), on_plane),
+        ((zero,), (1,), on_plane),
+        ((zero,), (0,), on_line),
+    )
+    lu, au, bu = lam[k], a[k], b[k]
+    walked_g1 = walked_g2 = 0
+    for heads, us, (on_g1, on_g2) in groups:
+        for head in heads:
+            squares = list(map(mul, head, head))
+            s1 = sum(squares)
             s2 = sum(map(mul, lam, squares))
-            s3 = sum(map(mul, a, prefix))
-            s4 = sum(map(mul, b, prefix))
-            for zy, t2, t3, t4 in completions[-sum(squares) % p]:
-                found += 1
-                yield prefix + zy, 0, (s2 + t2) % p, (s3 + t3) % p, (s4 + t4) % p
-    expected = _quadric_count(n, p)
-    if found != expected:
-        raise ArithmeticError(
-            f"the scan found {found} points on f1 = 0 mod {p}, the closed form {expected}"
-        )
+            s3 = sum(map(mul, a, head))
+            s4 = sum(map(mul, b, head))
+            for u in us:
+                uu = u * u
+                r = -(s1 + uu) % p
+                v2, w1, w2 = s2 + lu * uu, s3 + au * u, s4 + bu * u
+                first = on_g1[r][-w1 % p]
+                second = on_g2[r][-w2 % p]
+                if not (first or second):
+                    continue
+                head_u = head + (u,)
+                walked_g1 += len(first)
+                for zy, t2, t4 in first:
+                    yield head_u + zy, 0, (v2 + t2) % p, 0, (w2 + t4) % p
+                walked_g2 += len(second)
+                for zy, t2, t3 in second:
+                    x1 = (w1 + t3) % p
+                    if x1:
+                        yield head_u + zy, 0, (v2 + t2) % p, x1, 0
+    for name, g, walked in (("g1", a, walked_g1), ("g2", b, walked_g2)):
+        expected = _section_count(g, p)
+        if walked != expected:
+            raise ArithmeticError(
+                f"the scan found {walked} points on f1 = {name} = 0 mod {p}, "
+                f"the closed form {expected}"
+            )
 
 
-def _minors(x, row, cols, j: int, p: int) -> list[int]:
+def _minors(x, row, cols, j: int, p: int):
     """The 2x2 minors of ``x`` and ``row`` on the columns ``cols`` against
-    column j, where x[j] != 0: all vanish exactly when ``row`` is a
+    column j, where x[j] != 0, lazily: all vanish exactly when ``row`` is a
     multiple of ``x`` on those columns."""
     xj, rj = x[j], row[j]
-    return [(row[i] * xj - rj * x[i]) % p for i in cols]
+    return ((row[i] * xj - rj * x[i]) % p for i in cols)
 
 
-def _common_roots(alpha, beta, p: int):
-    """The t in F_p with alpha[i]*t + beta[i] = 0 mod p for every i, in
-    ascending order: none, exactly one, or all of them."""
-    i = next((i for i, al in enumerate(alpha) if al % p), None)
-    if i is None:
-        return range(p) if all(be % p == 0 for be in beta) else ()
-    t = -beta[i] * pow(alpha[i], p - 2, p) % p
-    return (t,) if all((al * t + be) % p == 0 for al, be in zip(alpha, beta)) else ()
+def _common_roots(x, alpha, beta, cols, j: int, p: int, inv):
+    """The t in F_p at which alpha*t + beta is a multiple of ``x`` on the
+    columns ``cols``, where x[j] != 0, in ascending order: none, exactly
+    one, or all of them.  Each 2x2 minor against column j is linear in t,
+    alpha_i*t + beta_i, and ``inv`` is the table of inverses mod p."""
+    xj, aj, bj = x[j], alpha[j], beta[j]
+    t = None
+    for i in cols:
+        al = (alpha[i] * xj - aj * x[i]) % p
+        be = (beta[i] * xj - bj * x[i]) % p
+        if t is not None:
+            if (al * t + be) % p:
+                return ()
+        elif al:
+            t = -be * inv[al] % p
+        elif be:
+            return ()
+    return range(p) if t is None else (t,)
 
 
 def _span_projection(g1, g2, p: int):
@@ -244,29 +312,42 @@ def _equation_hashes(data: PencilData) -> dict[str, str]:
 
 def smoothness_scan(data: PencilData, p: int) -> tuple[dict, dict]:
     """The singular-locus and chart-smoothness reports of one prime, from
-    one streamed walk of the quadric f1 = 0 that keeps only counters and
-    the reports' failure lists.
+    one streamed walk of the sections g1 = 0 and g2 = 0 of the quadric
+    f1 = 0 that keeps only counters and the reports' failure lists.
 
     The locus report compares the rank-deficient locus of the total space
     with the base locus over every t in F_p: at t = 0 they must agree
     pointwise, which is its verdict; rank-deficient points at t != 0 are
     possible for unlucky reductions and are statistics only.  The chart
     report requires rank 3 at every F_p point of each blow-up chart, and a
-    smooth divisor (rank 3) and blow-up center (rank 4)."""
+    smooth divisor (rank 3) and blow-up center (rank 4).
+
+    A point of f1 = 0 with g1*g2 != 0 can fail none of these, so it is not
+    walked: if f2 != 0 there, it lies on one fiber and above one point of
+    each chart, and if f2 = 0 on neither.  The N1 points of f1 = 0 with
+    f2 != 0 number #{f1 = 0} - #X0, both in closed form, and the walk
+    takes back what the counted points with g1 = 0 do not add.
+    ``points_scanned`` is the size of P^{m+2}(F_p), walked or counted."""
     collisions = _validate(data, p)
     equations = _equation_hashes(data)
     n = data.m + 3
     cols = range(n)
+    rests = [[i for i in cols if i != lead] for lead in cols]
+    inv = [0] + [pow(c, p - 2, p) for c in range(1, p)]
     lam2 = [2 * v for v in data.lambdas]
     a, b = data.g1, data.g2
     project = _span_projection(a, b, p)
 
-    on_family = 0
+    # a point with f2 != 0 lies on one fiber, t = -g1*g2/f2, where the t
+    # column f2 gives rank 2; chart_T has a point above it where g1 != 0,
+    # at G = -f2/g1 != 0, and chart_G2 one at G2 = -g1/f2: all of rank 3
+    off_x0 = _quadric_count(n, p) - _x0_count(data.lambdas, p)
+    on_family = off_x0
+    chart_points = 2 * off_x0
     base_points = 0  # the base locus at t = 0, which is also the center
     t_zero_deficient = 0
     discrepancies: list[tuple[int, ...]] = []
     nonzero_t_deficient = 0
-    chart_points = 0
     chart_failures: list[tuple[str, tuple[int, ...]]] = []
     divisor_points = 0
     divisor_failures: list[tuple[int, ...]] = []
@@ -281,13 +362,8 @@ def smoothness_scan(data: PencilData, p: int) -> tuple[dict, dict]:
     for pt, _, v2, w1, w2 in _scan_base(data, p):
         on_divisor = not (w1 or w2)
         if v2:
-            # one fiber, t = -g1*g2/f2, where the t column f2 gives rank 2;
-            # chart_T has a point only where g1 != 0, at G = -f2/g1 != 0,
-            # and chart_G2 has one where e = f2 != 0: all of rank 3
-            on_family += 1
-            chart_points += 2 if w1 else 1
-        elif w1 and w2:  # f2 = 0 and g1*g2 != 0: on no fiber and no chart
-            continue
+            if not w1:  # counted with a chart_T point it does not have
+                chart_points -= 1
         else:
             # [grad f1, 0] = [2x, 0] is nonzero, so with f2 = 0 the pair is
             # deficient exactly when [grad F2, 0] is a multiple of it.
@@ -297,9 +373,7 @@ def smoothness_scan(data: PencilData, p: int) -> tuple[dict, dict]:
             lead = pt.index(1)
             grad_f2 = [l * x for l, x in zip(lam2, pt)]
             grad_1 = [w1 * bi + w2 * ai for ai, bi in zip(a, b)]
-            deficient_t = _common_roots(
-                _minors(pt, grad_f2, cols, lead, p), _minors(pt, grad_1, cols, lead, p), p
-            )
+            deficient_t = _common_roots(pt, grad_f2, grad_1, cols, lead, p, inv)
             t_zero = 0 in deficient_t
             t_zero_deficient += t_zero
             nonzero_t_deficient += len(deficient_t) - t_zero
@@ -310,16 +384,14 @@ def smoothness_scan(data: PencilData, p: int) -> tuple[dict, dict]:
             # g2*G2.  Each gradient below is linear in t or in the chart
             # coordinate, and so are its minors against x: the failing
             # values are solved, not searched
-            rest = [i for i in cols if i != lead]
+            rest = rests[lead]
             j = next(i for i in rest if pt[i])  # exists, since f1 = 0
-            on_f2 = _minors(pt, grad_f2, rest, j, p)
             if not w2:
                 # chart_T at G = 0, over every t: the rows are [2x, 0],
                 # [grad f2, g1] and [-g2, t]
                 chart_points += p
-                on_g2 = _minors(pt, b, rest, j, p)
                 if w1:  # t = 0: only the second row has a last entry
-                    t_zero_ok = any(on_g2)
+                    t_zero_ok = any(_minors(pt, b, rest, j, p))
                 else:  # t = 0 at a base point
                     rows = [
                         [2 * pt[i] for i in rest],
@@ -331,9 +403,9 @@ def smoothness_scan(data: PencilData, p: int) -> tuple[dict, dict]:
                     chart_failures.append(("chart_T", pt + (0, 0)))
                 # t != 0 clears g1 from the second row, which leaves
                 # grad f2 + c*g2 with c = g1/t
-                bad_c = _common_roots(on_g2, on_f2, p)
+                bad_c = _common_roots(pt, b, grad_f2, rest, j, p, inv)
                 if w1:
-                    bad_t = sorted(w1 * pow(c, p - 2, p) % p for c in bad_c if c)
+                    bad_t = sorted(w1 * inv[c] % p for c in bad_c if c)
                 else:
                     bad_t = range(1, p) if 0 in bad_c else ()
                 chart_failures.extend(("chart_T", pt + (t_val, 0)) for t_val in bad_t)
@@ -343,14 +415,14 @@ def smoothness_scan(data: PencilData, p: int) -> tuple[dict, dict]:
                 # second equation, grad f2 + g*g1 or g*grad f2 + g1, is no
                 # multiple of x
                 chart_points += 2 * p - 1
-                on_g1 = _minors(pt, a, rest, j, p)
                 chart_failures.extend(
-                    ("chart_T", pt + (w2 * pow(g, p - 2, p) % p, g))
-                    for g in _common_roots(on_g1, on_f2, p)
+                    ("chart_T", pt + (w2 * inv[g] % p, g))
+                    for g in _common_roots(pt, a, grad_f2, rest, j, p, inv)
                     if g
                 )
                 chart_failures.extend(
-                    ("chart_G2", pt + (w2 * g % p, g)) for g in _common_roots(on_f2, on_g1, p)
+                    ("chart_G2", pt + (w2 * g % p, g))
+                    for g in _common_roots(pt, grad_f2, a, rest, j, p, inv)
                 )
         if on_divisor:
             # [2x, g1, g2] has rank 3 exactly when x is outside span(g1,
@@ -371,6 +443,10 @@ def smoothness_scan(data: PencilData, p: int) -> tuple[dict, dict]:
         "evidence, not a characteristic-zero proof"
     )
     discrepancies.sort()
+    # the walk takes a head's points on g1 = 0 before those on g2 = 0; the
+    # stable sort puts the base points back in projective_reps order and
+    # keeps the order of each one's own chart failures
+    chart_failures.sort(key=lambda failure: (failure[1].index(1), failure[1][:n]))
     locus = {
         "check": "singular-locus",
         "m": data.m,

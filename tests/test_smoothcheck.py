@@ -1,3 +1,5 @@
+from itertools import product
+from math import prod
 from operator import mul
 from random import Random
 
@@ -229,27 +231,142 @@ def _generic_data(m):
     return PencilData(m, tuple(range(n)), tuple(range(1, n + 1)), (1,) * n)
 
 
+def _isotropic(n, p):
+    """A form in n >= 3 variables, nonzero mod p, with sum(g_i^2) = 0 mod p."""
+    g = next(v for v in product(range(p), repeat=3) if any(v) and sum(x * x for x in v) % p == 0)
+    return g + (0,) * (n - 3)
+
+
+def _walk_cases(m, p):
+    # the plain forms; forms whose last two coefficients vanish mod p, so
+    # that every tail sits in one column of the table; and an isotropic
+    # form on either side, whose section is a cone
+    n = m + 3
+    lambdas = tuple(range(n))
+    vanishing = (*range(1, n - 1), p, -2 * p), (*(1,) * (n - 2), 0, p)
+    iso = _isotropic(n, p)
+    other = (0, 0, 0, 1) + (0,) * (n - 4)
+    return [
+        _generic_data(m),
+        PencilData(m, lambdas, *vanishing),
+        PencilData(m, lambdas, iso, other),
+        PencilData(m, lambdas, other, iso),
+    ]
+
+
 @pytest.mark.parametrize(
     "m,p", [(1, 3), (2, 3), (3, 3), (6, 3), (1, 5), (2, 5), (3, 5), (4, 5), (1, 7), (2, 7), (1, 11)]
 )
 def test_scan_base_walks_exactly_the_quadric(m, p):
-    # both parities of m+3; the scan also checks its count against the
-    # closed form and raises on a mismatch
-    data = _generic_data(m)
-    polys = reference.equations(data)
-    scanned = list(_scan_base(data, p))
-    assert [item[0] for item in scanned] == enumerate_points([polys["f1"]], p)
-    for pt, v1, v2, w1, w2 in scanned:
-        assert (v1, v2, w1, w2) == tuple(polys[k].eval_mod(pt, p) for k in ("f1", "f2", "g1", "g2"))
+    # the walk is the part of the quadric f1 = 0 where g1*g2 = 0, each
+    # point once; both parities of m+3, and each section in projective
+    # order.  The walk also checks its counts against the closed forms
+    # and raises on a mismatch
+    for data in _walk_cases(m, p):
+        assert _pivot_minor(data.g1, data.g2, p) is not None
+        polys = reference.equations(data)
+        on_g1, on_g2 = [], []
+        for pt in enumerate_points([polys["f1"]], p):
+            if polys["g1"].eval_mod(pt, p) == 0:
+                on_g1.append(pt)
+            elif polys["g2"].eval_mod(pt, p) == 0:
+                on_g2.append(pt)
+        scanned = list(_scan_base(data, p))
+        assert sorted(item[0] for item in scanned) == sorted(on_g1 + on_g2)
+        assert [pt for pt, _, _, w1, _ in scanned if not w1] == on_g1
+        assert [pt for pt, _, _, w1, _ in scanned if w1] == on_g2
+        for pt, v1, v2, w1, w2 in scanned:
+            assert (v1, v2, w1, w2) == tuple(
+                polys[k].eval_mod(pt, p) for k in ("f1", "f2", "g1", "g2")
+            )
 
 
 def test_scan_base_count_mismatch_is_an_internal_error(monkeypatch):
-    real = smoothcheck._square_roots
-    monkeypatch.setattr(smoothcheck, "_square_roots", lambda p: [r[:1] for r in real(p)])
+    # one tail dropped from each table: the walk misses the points that
+    # tail completes, and the section count no longer matches
+    real = smoothcheck._tails
+
+    def dropping(*args):
+        tails = real(*args)
+        next(entry for row in tails for entry in row if entry).pop()
+        return tails
+
+    monkeypatch.setattr(smoothcheck, "_tails", dropping)
     with pytest.raises(ArithmeticError, match="closed form"):
         list(_scan_base(_generic_data(2), 5))
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="closed form"):
         smoothness_scan(default_pencil(2, primes=(5,), seed=0), 5)
+
+
+def test_x0_and_section_counts_equal_brute_force():
+    # ascending, random, colliding and all-equal weights mod p; random,
+    # isotropic and vanishing-tail forms
+    isotropic = set()
+    for m, p in [(1, 3), (1, 5), (1, 7), (2, 3), (2, 5), (2, 7), (3, 3), (3, 5), (4, 3)]:
+        n = m + 3
+        rng = Random(n * p)
+        f1 = diagonal_quadric([1] * n)
+        weights = [
+            tuple(range(n)),
+            tuple(rng.randint(-6, 6) for _ in range(n)),
+            (0, p) + tuple(range(2, n)),
+            (3,) * n,
+        ]
+        for lambdas in weights:
+            points = enumerate_points([f1, diagonal_quadric(lambdas)], p)
+            assert smoothcheck._x0_count(lambdas, p) == len(points), (m, p, lambdas)
+        forms = [
+            *(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(2)),
+            _isotropic(n, p),
+            (*range(1, n - 1), p, 0),
+        ]
+        for g in forms:
+            if any(v % p for v in g):
+                points = enumerate_points([f1, linear_form(g)], p)
+                assert smoothcheck._section_count(g, p) == len(points), (m, p, g)
+                isotropic.add(sum(v * v for v in g) % p == 0)
+    assert isotropic == {True, False}
+
+
+@pytest.mark.parametrize("m,primes", [(2, (5, 7, 11)), (4, (7, 11, 13)), (6, (11, 13)), (10, (13, 17))])
+def test_x0_count_equals_the_trace_formula(m, primes):
+    # #X0 = #P^m + p^{m/2} * sum_i chi((-1)^{(m+2)/2} prod_{j != i} (l_j - l_i))
+    # wherever no two weights collide mod p: a second route to the count
+    n = m + 3
+    sign = (-1) ** ((m + 2) // 2)
+    for p in primes:
+        for seed in range(5):
+            lambdas = tuple(Random(seed).sample(range(p), n))
+            trace = 0
+            for li in lambdas:
+                c = sign * prod(lj - li for lj in lambdas if lj != li)
+                trace += 1 if pow(c, (p - 1) // 2, p) == 1 else -1
+            expected = projective_count(m + 1, p) + p ** (m // 2) * trace
+            assert smoothcheck._x0_count(lambdas, p) == expected, (m, p, lambdas)
+
+
+# every (m, p) with m in {1, 2, 3} and p in {3, 5} but (3, 5), whose
+# generic reference run alone takes most of a second
+SWEEP_SHAPES = [(1, 3), (1, 5), (2, 3), (2, 5), (3, 3)]
+
+
+def _sweep_pencil(seed):
+    m, p = SWEEP_SHAPES[seed % len(SWEEP_SHAPES)]
+    n = m + 3
+    rng = Random(seed)
+    while True:
+        lambdas = tuple(rng.sample(range(-4, 5), n))
+        g1, g2 = (tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(2))
+        if _pivot_minor(g1, g2, p) is not None:
+            return PencilData(m, lambdas, g1, g2), p
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_random_pencils_scan_as_the_generic_reference(seed):
+    data, p = _sweep_pencil(seed)
+    locus, charts = smoothness_scan(data, p)
+    assert locus == reference.singular_locus_check(data, p)
+    assert charts == reference.chart_smoothness_check(data, p)
 
 
 # (data, prime): seeds 1, 31 and 18 have chart failures and rank-deficient
