@@ -274,6 +274,50 @@ def _common_roots(x, alpha, beta, cols, j: int, p: int, inv):
     return range(p) if t is None else (t,)
 
 
+def _screen_triples(lam, rest, p: int):
+    """The column triples (i, k, l) of ``rest`` for ``_screen``: its last
+    three columns, its first three, and its first with its last two, each
+    with the weight differences its 3x3 minor needs mod p; none when
+    ``rest`` has fewer than three columns."""
+    if len(rest) < 3:
+        return []
+    return [
+        (i, k, l, (lam[l] - lam[k]) % p, (lam[l] - lam[i]) % p, (lam[k] - lam[i]) % p)
+        for i, k, l in (rest[-3:], rest[:3], (rest[0], *rest[-2:]))
+    ]
+
+
+def _screen(x, g, triples, p: int) -> bool:
+    """Whether x, lambda*x and g are independent on the columns of some
+    triple: one of their 3x3 minors there is nonzero mod p.  Then no
+    combination of lambda*x and g other than 0 is a multiple of x on those
+    columns.  False means only that these minors all vanish."""
+    for i, k, l, lk, li, ki in triples:
+        xi, xk, xl = x[i], x[k], x[l]
+        if (g[i] * xk * xl * lk - g[k] * xi * xl * li + g[l] * xi * xk * ki) % p:
+            return True
+    return False
+
+
+def _divisor_line(g1, g2, p: int) -> set[tuple[int, ...]]:
+    """The points of the line P(span(g1, g2)) on f1 = g1 = g2 = 0 mod p,
+    each with its first nonzero coordinate 1, for independent forms: the
+    divisor points at which [2x, g1, g2] drops rank.
+
+    x = s*g1 + t*g2 lies on g1 = g2 = 0 when (s, t) is in the kernel of the
+    Gram matrix of the forms, and then f1(x) = s*g1(x) + t*g2(x) = 0 too:
+    no point for a nonsingular Gram, one for rank 1, the whole line for 0."""
+    s11, s12, s22 = (sum(map(mul, u, v)) % p for u, v in ((g1, g1), (g1, g2), (g2, g2)))
+    points = set()
+    for s, t in [(1, t) for t in range(p)] + [(0, 1)]:
+        if (s * s11 + t * s12) % p or (s * s12 + t * s22) % p:
+            continue
+        v = [(s * c + t * d) % p for c, d in zip(g1, g2)]
+        scale = pow(next(c for c in v if c), p - 2, p)
+        points.add(tuple(c * scale % p for c in v))
+    return points
+
+
 def _span_projection(g1, g2, p: int):
     """A linear map mod p whose kernel is exactly span(g1, g2), for
     independent forms: v -> d*v - mu*g1 - nu*g2, where d is a nonzero 2x2
@@ -327,16 +371,29 @@ def smoothness_scan(data: PencilData, p: int) -> tuple[dict, dict]:
     each chart, and if f2 = 0 on neither.  The N1 points of f1 = 0 with
     f2 != 0 number #{f1 = 0} - #X0, both in closed form, and the walk
     takes back what the counted points with g1 = 0 do not add.
-    ``points_scanned`` is the size of P^{m+2}(F_p), walked or counted."""
+    ``points_scanned`` is the size of P^{m+2}(F_p), walked or counted.
+
+    At a walked point x of X0 off the divisor, with g the form that
+    vanishes there, every check asks whether some alpha*lambda*x + beta*g
+    with (alpha, beta) != 0 is a multiple of x off the lead column.
+    ``_screen`` settles x exactly when one 3x3 minor of x, lambda*x and g
+    there is nonzero: then no check can fail and x only adds to the
+    counters.  Where the minors tried all vanish, and at the base points,
+    the scan falls back to the exact route of ``_common_roots``,
+    ``_minors`` and ``_rank_mod``.  The divisor fails exactly on the
+    points of the line P(span(g1, g2)) on f1 = g1 = g2 = 0, which
+    ``_divisor_line`` finds once per prime."""
     collisions = _validate(data, p)
     equations = _equation_hashes(data)
     n = data.m + 3
     cols = range(n)
     rests = [[i for i in cols if i != lead] for lead in cols]
     inv = [0] + [pow(c, p - 2, p) for c in range(1, p)]
+    triples = [_screen_triples(data.lambdas, rest, p) for rest in rests]
     lam2 = [2 * v for v in data.lambdas]
     a, b = data.g1, data.g2
     project = _span_projection(a, b, p)
+    on_line = _divisor_line(a, b, p)
 
     # a point with f2 != 0 lies on one fiber, t = -g1*g2/f2, where the t
     # column f2 gives rank 2; chart_T has a point above it where g1 != 0,
@@ -364,6 +421,13 @@ def smoothness_scan(data: PencilData, p: int) -> tuple[dict, dict]:
         if v2:
             if not w1:  # counted with a chart_T point it does not have
                 chart_points -= 1
+        elif not on_divisor and _screen(pt, b if w1 else a, triples[pt.index(1)], p):
+            # every check below asks whether alpha*lambda*x + beta*g, with
+            # g the form that vanishes at x and (alpha, beta) != 0, is a
+            # multiple of x off the lead column: never, as x, lambda*x and
+            # g are independent there
+            on_family += p
+            chart_points += p if w1 else 2 * p - 1
         else:
             # [grad f1, 0] = [2x, 0] is nonzero, so with f2 = 0 the pair is
             # deficient exactly when [grad F2, 0] is a multiple of it.
@@ -425,16 +489,16 @@ def smoothness_scan(data: PencilData, p: int) -> tuple[dict, dict]:
                     for g in _common_roots(pt, grad_f2, a, rest, j, p, inv)
                 )
         if on_divisor:
-            # [2x, g1, g2] has rank 3 exactly when x is outside span(g1,
-            # g2), and at a center point [2x, grad f2, g1, g2] rank 4 when
-            # x and grad f2 are independent modulo it
+            # [2x, g1, g2] has rank 3 exactly when x is off the line
+            # P(span(g1, g2)), and at a center point [2x, grad f2, g1, g2]
+            # rank 4 when x and grad f2 are independent modulo the span
             divisor_points += 1
-            on_x = project(pt)
-            j = next((i for i in cols if on_x[i]), None)
-            if j is None:
+            if pt in on_line:
                 divisor_failures.append(pt)
             if not v2:
                 base_points += 1
+                on_x = project(pt)
+                j = next((i for i in cols if on_x[i]), None)
                 if j is None or not any(_minors(on_x, project(grad_f2), cols, j, p)):
                     center_failures.append(pt)
 

@@ -254,9 +254,10 @@ def _walk_cases(m, p):
     ]
 
 
-@pytest.mark.parametrize(
-    "m,p", [(1, 3), (2, 3), (3, 3), (6, 3), (1, 5), (2, 5), (3, 5), (4, 5), (1, 7), (2, 7), (1, 11)]
-)
+WALK_GRID = [(1, 3), (2, 3), (3, 3), (6, 3), (1, 5), (2, 5), (3, 5), (4, 5), (1, 7), (2, 7), (1, 11)]
+
+
+@pytest.mark.parametrize("m,p", WALK_GRID)
 def test_scan_base_walks_exactly_the_quadric(m, p):
     # the walk is the part of the quadric f1 = 0 where g1*g2 = 0, each
     # point once; both parities of m+3, and each section in projective
@@ -372,7 +373,9 @@ def test_random_pencils_scan_as_the_generic_reference(seed):
 # (data, prime): seeds 1, 31 and 18 have chart failures and rank-deficient
 # points at t != 0; the hand-made forms fail the divisor, the center and
 # chart_T at G = 0, the pair at m = 4 puts a t = 0 discrepancy in the
-# locus, and the last pair two, which the walk meets out of sorted order
+# locus, the next pair two, which the walk meets out of sorted order, and
+# the last pair spans a totally isotropic plane mod 5, so that every point
+# of the line P(span(g1, g2)) is a divisor failure
 ORACLE_CASES = [
     *((default_pencil(2, primes=(5,), seed=s), 5) for s in (0, 1, 31)),
     (default_pencil(2, primes=(7,), seed=18), 7),
@@ -387,6 +390,7 @@ ORACLE_CASES = [
     ),
     (default_pencil(4, primes=(5, 7, 11), seed=0), 3),
     (PencilData(2, (7, -10, 3, -19, 8), (0, 2, 0, 2, 1), (2, 0, 1, 2, 0)), 3),
+    (PencilData(2, (0, 1, 2, 3, 4), (1, 2, 0, 0, 0), (0, 0, 1, 2, 0)), 5),
 ]
 
 
@@ -418,7 +422,120 @@ def test_oracle_cases_reach_every_failure_branch():
     }
     assert g_zero_cases == {"t != 0", "g1 != 0", "base point"}
     assert any(charts["divisor_rank_failures"] for _, charts in reports)
+    # the whole line P(span(g1, g2)) fails when the forms span a totally
+    # isotropic plane
+    assert any(
+        len(charts["divisor_rank_failures"]) == p + 1
+        for (_, p), (_, charts) in zip(ORACLE_CASES, reports)
+    )
     assert any(charts["center_rank_failures"] for _, charts in reports)
+
+
+def _screened_cases():
+    """ORACLE_CASES, the sweep pencils and the walk cases of every shape in
+    WALK_GRID, as (data, p)."""
+    yield from ORACLE_CASES
+    yield from (_sweep_pencil(seed) for seed in range(25))
+    yield from ((data, p) for m, p in WALK_GRID for data in _walk_cases(m, p))
+
+
+def test_screen_settles_only_points_the_exact_route_clears(monkeypatch):
+    # at a non-divisor point of X0 with g the form that vanishes there, a
+    # screen that finds x, lambda*x and g independent off the lead column
+    # leaves the exact route nothing to find: no deficient t, no chart_T
+    # or chart_G2 root, and g no multiple of x
+    calls = []
+    real = smoothcheck._screen
+
+    def recording(x, g, triples, p):
+        verdict = real(x, g, triples, p)
+        calls.append((x, g, triples, verdict))
+        return verdict
+
+    monkeypatch.setattr(smoothcheck, "_screen", recording)
+    verdicts = set()
+    for data, p in _screened_cases():
+        n = data.m + 3
+        inv = [0] + [pow(c, p - 2, p) for c in range(1, p)]
+        calls.clear()
+        smoothness_scan(data, p)
+        x0 = [(pt, w1, w2) for pt, _, v2, w1, w2 in _scan_base(data, p) if not v2 and (w1 or w2)]
+        assert [x for x, *_ in calls] == [pt for pt, _, _ in x0]
+        for (pt, w1, w2), (_, g, triples, verdict) in zip(x0, calls):
+            assert g is (data.g2 if w1 else data.g1)
+            verdicts.add(verdict)
+            if not verdict:
+                continue
+            lead = pt.index(1)
+            rest = [i for i in range(n) if i != lead]
+            assert {i for triple in triples for i in triple[:3]} <= set(rest)
+            j = next(i for i in rest if pt[i])
+            grad_f2 = [2 * lam * x for lam, x in zip(data.lambdas, pt)]
+            grad_1 = [w1 * c + w2 * d for c, d in zip(data.g2, data.g1)]
+            roots = [
+                smoothcheck._common_roots(pt, grad_f2, grad_1, range(n), lead, p, inv),
+                smoothcheck._common_roots(pt, g, grad_f2, rest, j, p, inv),
+                smoothcheck._common_roots(pt, grad_f2, g, rest, j, p, inv),
+            ]
+            assert all(len(r) == 0 for r in roots), (data.g1, data.g2, p, pt)
+            assert any(smoothcheck._minors(pt, g, rest, j, p)), (data.g1, data.g2, p, pt)
+            rows = [[row[i] for i in rest] for row in (pt, grad_f2, g)]
+            assert _rank_mod(rows, p) == 3
+    assert verdicts == {True, False}
+
+
+def test_scan_without_the_screen_equals_the_scan_with_it(monkeypatch):
+    cases = [*ORACLE_CASES, *(_sweep_pencil(seed) for seed in range(25))]
+    screened = [smoothness_scan(data, p) for data, p in cases]
+    monkeypatch.setattr(smoothcheck, "_screen", lambda *args: False)
+    assert [smoothness_scan(data, p) for data, p in cases] == screened
+
+
+def test_screen_settles_most_x0_points(monkeypatch):
+    # the points that reach the exact route are the base points and the
+    # X0 points the screen leaves; at m = 4, p = 7 that is 15 of 763
+    data, p = default_pencil(4, primes=(7,), seed=0), 7
+    exact = set()
+    real = smoothcheck._common_roots
+
+    def recording(x, *args):
+        exact.add(x)
+        return real(x, *args)
+
+    monkeypatch.setattr(smoothcheck, "_common_roots", recording)
+    _, charts = smoothness_scan(data, p)
+    x0 = sum(1 for _, _, v2, w1, w2 in _scan_base(data, p) if not v2 and (w1 or w2))
+    fallen_back = len(exact) - charts["center_points"]
+    assert x0 == 763
+    assert 0 <= fallen_back <= 0.05 * x0
+
+
+def test_divisor_line_is_where_the_divisor_drops_rank():
+    # the points of f1 = g1 = g2 = 0 at which [x, g1, g2] has rank 2, by
+    # brute force, for Gram matrices of the forms of rank 2, 1 and 0
+    sizes = set()
+    for seed in range(40):
+        rng = Random(seed)
+        p = rng.choice((5, 13))
+        n = 4 if p == 13 else rng.randint(4, 6)
+        iso = (1, 2) if p == 5 else (2, 3)  # 1 + 4 = 5 and 4 + 9 = 13
+        g1 = [rng.randint(-4, 4) for _ in range(n)]
+        g2 = [rng.randint(-4, 4) for _ in range(n)]
+        if seed % 3:
+            g1 = [*iso, *(0,) * (n - 2)]
+        if seed % 3 == 2:
+            g2 = [0, 0, *iso, *(0,) * (n - 4)]
+        if _pivot_minor(g1, g2, p) is None:
+            continue
+        expected = {
+            x
+            for x in projective_reps(n, p)
+            if not any(sum(map(mul, x, v)) % p for v in (x, g1, g2))
+            and _rank_mod([list(x), g1, g2], p) == 2
+        }
+        assert smoothcheck._divisor_line(g1, g2, p) == expected, (g1, g2, p)
+        sizes.add(min(len(expected), 2))
+    assert sizes == {0, 1, 2}
 
 
 def test_characteristic_two_is_rejected():
