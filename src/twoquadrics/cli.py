@@ -4,8 +4,8 @@ status code.
 
 Exit codes: 0 all checks pass, 2 a reproduced statement failed, 3 the
 run is inconclusive by design (the surface case of the enumeration, or a
-smoothness run whose every prime has colliding weights), 4 configuration
-error.
+section with no claim that counts as evidence, such as a smoothness run
+whose every prime has colliding weights), 4 configuration error.
 """
 
 from __future__ import annotations
@@ -38,9 +38,12 @@ def _claim(claim_id: str, ok: bool, **payload) -> dict:
 
 def _section(name: str, claims: list[dict], **fields) -> dict:
     """A section report: its fields, its claims, and ok when every claim
-    that counts as evidence passes; degenerate claims do not count."""
-    ok = all(c["ok"] for c in claims if not c.get("degenerate"))
-    return {"name": name, **fields, "claims": claims, "ok": ok}
+    that counts as evidence passes; degenerate claims do not count.  A
+    section with no claim that counts is inconclusive, never a plain pass."""
+    evidence = [c["ok"] for c in claims if not c.get("degenerate")]
+    if not evidence:
+        fields["inconclusive"] = True
+    return {"name": name, **fields, "claims": claims, "ok": all(evidence)}
 
 
 def _fmt_gauss(value) -> str:
@@ -202,8 +205,9 @@ def run_smoothness(cfg: dict) -> dict:
         if any(v.denominator != 1 for v in lambdas):
             raise _UsageError("the finite-field scans need integer --lambdas")
         lambdas = [int(v) for v in lambdas]
-    # the only budget check, before the genericity screen and the scans of
-    # P^{m+2}(F_p), which do not check it
+    # the only budget check, before the genericity screen and the scans,
+    # which do not check it; it counts #P^{m+2}(F_p), although the scan
+    # walks only the two sections g1 = 0 and g2 = 0 (ROADMAP item 8)
     for p in primes:
         count = smoothcheck.projective_count(m + 3, p)
         if count > cfg["budget"]:
@@ -247,8 +251,6 @@ def run_smoothness(cfg: dict) -> dict:
             )
         )
         per_prime.append({"prime": p, "locus": locus, "charts": charts})
-    # when every prime collides, the scans give no evidence at all
-    verdict = {"inconclusive": True} if all(c.get("degenerate") for c in claims) else {}
     return _section(
         "smoothness",
         claims,
@@ -258,7 +260,6 @@ def run_smoothness(cfg: dict) -> dict:
             "g2": list(data.g2),
         },
         runs=per_prime,
-        **verdict,
     )
 
 

@@ -139,7 +139,7 @@ def _packed_node_values(rows, nodes):
         yield values
 
 
-def verify_plane_in_x(cfg: LambdaConfig, trials: int = 100, seed: int = 0) -> bool:
+def verify_plane_in_x(cfg: LambdaConfig, trials: int, seed: int = 0) -> bool:
     """Random points of the plane satisfy both quadrics exactly.
 
     A point is parametrized by a polynomial q of degree at most m/2 whose

@@ -31,8 +31,8 @@ class DegenerateReductionError(ValueError):
 class Poly:
     """Sparse multivariate polynomial with integer coefficients.  Nothing in
     the package builds one: it is the base of the tests' generic route and
-    the benchmark counts its ``eval_mod`` calls, and it moves to the tests
-    with the next benchmark change (ROADMAP item 1)."""
+    the benchmark counts its ``eval_mod`` calls.  It moves to the tests
+    with ROADMAP item 2, once item 1 has changed the benchmark."""
 
     __slots__ = ("nvars", "terms")
 
@@ -318,21 +318,6 @@ def _divisor_line(g1, g2, p: int) -> set[tuple[int, ...]]:
     return points
 
 
-def _span_projection(g1, g2, p: int):
-    """A linear map mod p whose kernel is exactly span(g1, g2), for
-    independent forms: v -> d*v - mu*g1 - nu*g2, where d is a nonzero 2x2
-    minor of (g1, g2) on columns (r, s) and mu, nu are the Cramer
-    numerators of v's coordinates in g1 and g2 on those columns."""
-    d, r, s = _pivot_minor(g1, g2, p)
-
-    def project(v):
-        mu = v[r] * g2[s] - v[s] * g2[r]
-        nu = g1[r] * v[s] - g1[s] * v[r]
-        return [(d * x - mu * a - nu * b) % p for x, a, b in zip(v, g1, g2)]
-
-    return project
-
-
 def _equation_hashes(data: PencilData) -> dict[str, str]:
     """Each equation's fingerprint: the SHA-256 of the repr of its sorted
     nonzero (exponents, coefficient) pairs, to 12 hex digits, read off the
@@ -379,10 +364,12 @@ def smoothness_scan(data: PencilData, p: int) -> tuple[dict, dict]:
     ``_screen`` settles x exactly when one 3x3 minor of x, lambda*x and g
     there is nonzero: then no check can fail and x only adds to the
     counters.  Where the minors tried all vanish, and at the base points,
-    the scan falls back to the exact route of ``_common_roots``,
-    ``_minors`` and ``_rank_mod``.  The divisor fails exactly on the
-    points of the line P(span(g1, g2)) on f1 = g1 = g2 = 0, which
-    ``_divisor_line`` finds once per prime."""
+    the scan falls back to the exact route of ``_common_roots`` and
+    ``_minors``, which solves for the failing t and chart coordinates.
+    Only the center needs a rank: a base point is a center failure when
+    ``_rank_mod`` of [2x, grad f2, g1, g2] is below 4.  The divisor fails
+    exactly on the points of the line P(span(g1, g2)) on f1 = g1 = g2 = 0,
+    which ``_divisor_line`` finds once per prime."""
     collisions = _validate(data, p)
     equations = _equation_hashes(data)
     n = data.m + 3
@@ -392,7 +379,6 @@ def smoothness_scan(data: PencilData, p: int) -> tuple[dict, dict]:
     triples = [_screen_triples(data.lambdas, rest, p) for rest in rests]
     lam2 = [2 * v for v in data.lambdas]
     a, b = data.g1, data.g2
-    project = _span_projection(a, b, p)
     on_line = _divisor_line(a, b, p)
 
     # a point with f2 != 0 lies on one fiber, t = -g1*g2/f2, where the t
@@ -418,89 +404,80 @@ def smoothness_scan(data: PencilData, p: int) -> tuple[dict, dict]:
     # of x.
     for pt, _, v2, w1, w2 in _scan_base(data, p):
         on_divisor = not (w1 or w2)
+        if on_divisor:
+            # [2x, g1, g2] has rank 3 exactly when x is off the line
+            # P(span(g1, g2))
+            divisor_points += 1
+            if pt in on_line:
+                divisor_failures.append(pt)
         if v2:
             if not w1:  # counted with a chart_T point it does not have
                 chart_points -= 1
-        elif not on_divisor and _screen(pt, b if w1 else a, triples[pt.index(1)], p):
+            continue
+        on_family += p  # a point of X0 lies on every fiber
+        if not w2:  # chart_T at G = 0, one point per t
+            chart_points += p
+        if not w1:  # chart_T at G != 0 and chart_G2, one point per G or G2
+            chart_points += 2 * p - 1
+        if not on_divisor and _screen(pt, b if w1 else a, triples[pt.index(1)], p):
             # every check below asks whether alpha*lambda*x + beta*g, with
             # g the form that vanishes at x and (alpha, beta) != 0, is a
             # multiple of x off the lead column: never, as x, lambda*x and
             # g are independent there
-            on_family += p
-            chart_points += p if w1 else 2 * p - 1
-        else:
-            # [grad f1, 0] = [2x, 0] is nonzero, so with f2 = 0 the pair is
-            # deficient exactly when [grad F2, 0] is a multiple of it.
-            # grad F2 = t*grad f2 + grad_1 with grad_1 = w1*g2 + w2*g1, so
-            # each 2x2 minor against the lead column is linear in t
-            on_family += p
-            lead = pt.index(1)
-            grad_f2 = [l * x for l, x in zip(lam2, pt)]
-            grad_1 = [w1 * bi + w2 * ai for ai, bi in zip(a, b)]
-            deficient_t = _common_roots(pt, grad_f2, grad_1, cols, lead, p, inv)
-            t_zero = 0 in deficient_t
-            t_zero_deficient += t_zero
-            nonzero_t_deficient += len(deficient_t) - t_zero
-            if t_zero != on_divisor:  # with f2 = 0, the base locus is g1 = g2 = 0
-                discrepancies.append(pt)
+            continue
+        # [grad f1, 0] = [2x, 0] is nonzero, so with f2 = 0 the pair is
+        # deficient exactly when [grad F2, 0] is a multiple of it.  grad F2
+        # = t*grad f2 + grad_1 with grad_1 = w1*g2 + w2*g1, so each 2x2
+        # minor against the lead column is linear in t
+        lead = pt.index(1)
+        grad_f2 = [l * x for l, x in zip(lam2, pt)]
+        grad_1 = [w1 * bi + w2 * ai for ai, bi in zip(a, b)]
+        deficient_t = _common_roots(pt, grad_f2, grad_1, cols, lead, p, inv)
+        t_zero = 0 in deficient_t
+        t_zero_deficient += t_zero
+        nonzero_t_deficient += len(deficient_t) - t_zero
+        if t_zero != on_divisor:  # with f2 = 0, the base locus is g1 = g2 = 0
+            discrepancies.append(pt)
 
-            # chart_T is g1*G = 0 and t*G = g2; chart_G2 is g1 = 0 and t =
-            # g2*G2.  Each gradient below is linear in t or in the chart
-            # coordinate, and so are its minors against x: the failing
-            # values are solved, not searched
-            rest = rests[lead]
-            j = next(i for i in rest if pt[i])  # exists, since f1 = 0
-            if not w2:
-                # chart_T at G = 0, over every t: the rows are [2x, 0],
-                # [grad f2, g1] and [-g2, t]
-                chart_points += p
-                if w1:  # t = 0: only the second row has a last entry
-                    t_zero_ok = any(_minors(pt, b, rest, j, p))
-                else:  # t = 0 at a base point
-                    rows = [
-                        [2 * pt[i] for i in rest],
-                        [grad_f2[i] for i in rest],
-                        [-b[i] for i in rest],
-                    ]
-                    t_zero_ok = _rank_mod(rows, p) == 3
-                if not t_zero_ok:
-                    chart_failures.append(("chart_T", pt + (0, 0)))
-                # t != 0 clears g1 from the second row, which leaves
-                # grad f2 + c*g2 with c = g1/t
-                bad_c = _common_roots(pt, b, grad_f2, rest, j, p, inv)
-                if w1:
-                    bad_t = sorted(w1 * inv[c] % p for c in bad_c if c)
-                else:
-                    bad_t = range(1, p) if 0 in bad_c else ()
-                chart_failures.extend(("chart_T", pt + (t_val, 0)) for t_val in bad_t)
-            if not w1:
-                # chart_T at G = g != 0, t = g2/g, and chart_G2 at G2 = g,
-                # t = g2*g: e = g1 = 0, so rank 3 means the gradient of the
-                # second equation, grad f2 + g*g1 or g*grad f2 + g1, is no
-                # multiple of x
-                chart_points += 2 * p - 1
-                chart_failures.extend(
-                    ("chart_T", pt + (w2 * inv[g] % p, g))
-                    for g in _common_roots(pt, a, grad_f2, rest, j, p, inv)
-                    if g
-                )
-                chart_failures.extend(
-                    ("chart_G2", pt + (w2 * g % p, g))
-                    for g in _common_roots(pt, grad_f2, a, rest, j, p, inv)
-                )
+        # chart_T is g1*G = 0 and t*G = g2; chart_G2 is g1 = 0 and t =
+        # g2*G2.  Each gradient below is linear in t or in the chart
+        # coordinate, and so are its minors against x: the failing values
+        # are solved, not searched
+        rest = rests[lead]
+        j = next(i for i in rest if pt[i])  # exists, since f1 = 0
+        if not w2:
+            # chart_T at G = 0, over every t: the rows are [2x, 0], [grad
+            # f2, g1] and [-g2, t].  t != 0 clears g1 from the second row,
+            # which leaves grad f2 + c*g2 with c = g1/t
+            bad_c = _common_roots(pt, b, grad_f2, rest, j, p, inv)
+            # at t = 0 only the second row has a last entry where g1 != 0;
+            # at a base point [2x, grad f2, g2] has rank 3 exactly when g2
+            # and every grad f2 + c*g2 are no multiples of x
+            if not (any(_minors(pt, b, rest, j, p)) and (w1 or not bad_c)):
+                chart_failures.append(("chart_T", pt + (0, 0)))
+            if w1:
+                bad_t = sorted(w1 * inv[c] % p for c in bad_c if c)
+            else:
+                bad_t = range(1, p) if 0 in bad_c else ()
+            chart_failures.extend(("chart_T", pt + (t_val, 0)) for t_val in bad_t)
+        if not w1:
+            # chart_T at G = g != 0, t = g2/g, and chart_G2 at G2 = g, t =
+            # g2*g: e = g1 = 0, so rank 3 means the gradient of the second
+            # equation, grad f2 + g*g1 or g*grad f2 + g1, is no multiple of x
+            chart_failures.extend(
+                ("chart_T", pt + (w2 * inv[g] % p, g))
+                for g in _common_roots(pt, a, grad_f2, rest, j, p, inv)
+                if g
+            )
+            chart_failures.extend(
+                ("chart_G2", pt + (w2 * g % p, g))
+                for g in _common_roots(pt, grad_f2, a, rest, j, p, inv)
+            )
         if on_divisor:
-            # [2x, g1, g2] has rank 3 exactly when x is off the line
-            # P(span(g1, g2)), and at a center point [2x, grad f2, g1, g2]
-            # rank 4 when x and grad f2 are independent modulo the span
-            divisor_points += 1
-            if pt in on_line:
-                divisor_failures.append(pt)
-            if not v2:
-                base_points += 1
-                on_x = project(pt)
-                j = next((i for i in cols if on_x[i]), None)
-                if j is None or not any(_minors(on_x, project(grad_f2), cols, j, p)):
-                    center_failures.append(pt)
+            # the center point's rows [2x, grad f2, g1, g2] need rank 4
+            base_points += 1
+            if _rank_mod([pt, grad_f2, a, b], p) < 4:
+                center_failures.append(pt)
 
     evidence_note = (
         "finite-field scan: agreement at several primes is strong "
@@ -617,10 +594,11 @@ def _form_degeneracies(lambdas, g1, g2, p: int) -> list[str]:
     return problems
 
 
-def default_pencil(m: int, primes=(5, 7, 11), seed: int = 0, lambdas=None) -> PencilData:
-    """Deterministic family data: ascending weights unless overridden, a
-    fixed arithmetic pattern for the first form when it survives the
-    genericity screen, seeded redraws otherwise."""
+def default_pencil(m: int, primes, seed: int = 0, lambdas=None) -> PencilData:
+    """Deterministic family data, screened modulo each of ``primes``:
+    ascending weights unless overridden, a fixed arithmetic pattern for
+    the first form when it survives the genericity screen, seeded redraws
+    otherwise."""
     n = m + 3
     lambdas = tuple(range(n)) if lambdas is None else tuple(int(v) for v in lambdas)
     rng = Random(seed)

@@ -61,23 +61,6 @@ class FiberClass:
         self.m = m
         self.coeffs = coeffs
 
-    @staticmethod
-    def from_labels(m: int, assignment: dict[str, object]) -> "FiberClass":
-        """Only the assigned coefficients are built; every other label
-        shares one zero."""
-        labels = fiber_basis_labels(m)
-        unknown = set(assignment) - set(labels)
-        if unknown:
-            raise ValueError(f"unknown labels {sorted(unknown)}")
-        zero = Fraction(0)
-        return FiberClass(
-            m,
-            tuple(
-                Fraction(assignment[lbl]) if lbl in assignment else zero
-                for lbl in labels
-            ),
-        )
-
 
 def restriction_to_divisor(m: int) -> dict[str, Fraction]:
     """Coefficient of omega_D^{m/2} in the divisor restriction of each

@@ -1,5 +1,6 @@
 """The dense fiber pairing, kept as the oracle for the coordinate-wise
-``twoquadrics.specialfiber.fiber_gram_on_kernel``.
+``twoquadrics.specialfiber.fiber_gram_on_kernel``, and ``from_labels``,
+which builds the tests' fiber classes by label.
 
 ``fiber_pairing`` runs over every coordinate of both classes, so the Gram
 built from it pays once per pair of classes: O(n^3) steps in all.
@@ -7,7 +8,22 @@ built from it pays once per pair of classes: O(n^3) steps in all.
 
 from fractions import Fraction
 
-from twoquadrics.specialfiber import mv_kernel, pairing_diagonal
+from twoquadrics.specialfiber import (
+    FiberClass,
+    fiber_basis_labels,
+    mv_kernel,
+    pairing_diagonal,
+)
+
+
+def from_labels(m, assignment):
+    """The fiber class with the given coefficients by basis label, and 0
+    at every other label."""
+    labels = fiber_basis_labels(m)
+    unknown = set(assignment) - set(labels)
+    if unknown:
+        raise ValueError(f"unknown labels {sorted(unknown)}")
+    return FiberClass(m, tuple(Fraction(assignment.get(lbl, 0)) for lbl in labels))
 
 
 def fiber_pairing(x, y):

@@ -49,6 +49,25 @@ def test_surface_case_exit_is_inconclusive_not_failure(capsys):
     assert "overall: inconclusive" in out
 
 
+def test_section_without_evidence_is_inconclusive_not_a_pass(capsys):
+    # at m = 2 the lattice and fiber sections are skipped and check nothing
+    for section in ("cohomology", "fiber"):
+        code, out, _ = run_cli(capsys, section, "--m", "2")
+        assert code == EXIT_INCONCLUSIVE, section
+        assert "overall: inconclusive" in out
+        assert "overall: pass" not in out
+        code, out, _ = run_cli(capsys, section, "--m", "2", "--format", "json")
+        assert code == EXIT_INCONCLUSIVE, section
+        report = json.loads(out)
+        assert report["sections"][0]["claims"] == []
+        assert report["sections"][0]["inconclusive"] is True
+        assert report["inconclusive"] is True
+    # a section with evidence gains no key
+    code, out, _ = run_cli(capsys, "cohomology", "--m", "4", "--format", "json")
+    assert code == EXIT_OK
+    assert "inconclusive" not in json.loads(out)["sections"][0]
+
+
 def test_odd_dimension_is_config_error(capsys):
     code, _, err = run_cli(capsys, "euler", "--m", "5")
     assert code == EXIT_CONFIG

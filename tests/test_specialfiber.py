@@ -3,12 +3,11 @@ from fractions import Fraction
 import pytest
 
 import specialfiber_reference as reference
-from specialfiber_reference import fiber_pairing
+from specialfiber_reference import fiber_pairing, from_labels
 from twoquadrics import specialfiber
 from twoquadrics.chern import CIDescriptor, euler_char, primitive_middle_dim
 from twoquadrics.exactmath import GaussRational, IMAG_UNIT, kernel_basis, rank
 from twoquadrics.specialfiber import (
-    FiberClass,
     RestrictionMap,
     fiber_basis_labels,
     fiber_gram_on_kernel,
@@ -74,30 +73,30 @@ def test_mv_kernel_named_basis_spans_kernel():
 def test_mv_kernel_classes_are_their_label_assignments():
     for m in (4, 6, 40):
         expected = [
-            FiberClass.from_labels(m, {"h1": 1, "h2": 1}),
-            FiberClass.from_labels(m, {"h1": 1, "hz": 1, "h2": -1}),
-            FiberClass.from_labels(m, {"beta": 1}),
-            FiberClass.from_labels(m, {"theta": 1}),
-        ] + [FiberClass.from_labels(m, {f"z{i}": 1}) for i in range(1, m + 2)]
+            from_labels(m, {"h1": 1, "h2": 1}),
+            from_labels(m, {"h1": 1, "hz": 1, "h2": -1}),
+            from_labels(m, {"beta": 1}),
+            from_labels(m, {"theta": 1}),
+        ] + [from_labels(m, {f"z{i}": 1}) for i in range(1, m + 2)]
         assert [v.coeffs for v in mv_kernel(m)] == [v.coeffs for v in expected]
 
 
 def test_gamma_kills_the_named_classes():
     m = 4
     gamma = gamma_matrix(m)[0]
-    beta = FiberClass.from_labels(m, {"beta": 1})
-    both_halves = FiberClass.from_labels(m, {"h1": 1, "h2": 1})
+    beta = from_labels(m, {"beta": 1})
+    both_halves = from_labels(m, {"h1": 1, "h2": 1})
     assert sum(g * c for g, c in zip(gamma, beta.coeffs)) == 0
     assert sum(g * c for g, c in zip(gamma, both_halves.coeffs)) == 0
 
 
 def test_fiber_pairing_table_entries():
     m = 4
-    h1h2 = FiberClass.from_labels(m, {"h1": 1, "h2": 1})
-    null = FiberClass.from_labels(m, {"h1": 1, "hz": 1, "h2": -1})
-    z1 = FiberClass.from_labels(m, {"z1": 1})
-    beta = FiberClass.from_labels(m, {"beta": 1})
-    theta = FiberClass.from_labels(m, {"theta": 1})
+    h1h2 = from_labels(m, {"h1": 1, "h2": 1})
+    null = from_labels(m, {"h1": 1, "hz": 1, "h2": -1})
+    z1 = from_labels(m, {"z1": 1})
+    beta = from_labels(m, {"beta": 1})
+    theta = from_labels(m, {"theta": 1})
     assert fiber_pairing(h1h2, h1h2) == 4
     assert fiber_pairing(z1, z1) == -1
     assert fiber_pairing(beta, beta) == 1
@@ -129,8 +128,8 @@ def test_mixed_component_products_vanish():
     second = [lbl for lbl in labels[2:]]
     for a in first:
         for b in second:
-            x = FiberClass.from_labels(m, {a: 1})
-            y = FiberClass.from_labels(m, {b: 1})
+            x = from_labels(m, {a: 1})
+            y = from_labels(m, {b: 1})
             assert fiber_pairing(x, y) == 0
 
 
@@ -201,7 +200,7 @@ def test_restriction_kernel_and_rank():
 
 def test_pairing_check_on_imaginary_string():
     m = 4
-    z1 = FiberClass.from_labels(m, {"z1": 1})
+    z1 = from_labels(m, {"z1": 1})
     assert fiber_pairing(z1, z1) == -1
     g = x_middle_gram(m)
     image = IMAG_UNIT  # coefficient on e_1
@@ -229,4 +228,4 @@ def test_fiber_model_rejects_small_dimension():
 
 def test_fiber_class_validation():
     with pytest.raises(ValueError):
-        FiberClass.from_labels(4, {"nope": 1})
+        from_labels(4, {"nope": 1})
