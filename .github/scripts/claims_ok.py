@@ -1,7 +1,7 @@
 """Exit 0 only when the twoquadrics JSON report on stdin has claims and every
 claim's ``ok`` is true; print how many passed either way.
 
-    python -m twoquadrics fiber --m 320 --format json | python3 .github/scripts/claims_ok.py
+    python -m twoquadrics cohomology --m 2000 --format json | python3 .github/scripts/claims_ok.py
 """
 
 import json

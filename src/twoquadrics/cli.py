@@ -46,16 +46,6 @@ def _section(name: str, claims: list[dict], **fields) -> dict:
     return {"name": name, **fields, "claims": claims, "ok": all(evidence)}
 
 
-def _fmt_gauss(value) -> str:
-    re, im = value.re, value.im
-    if not im:
-        return str(re)
-    imag = "i" if im == 1 else ("-i" if im == -1 else f"{im}i")
-    if not re:
-        return imag
-    return f"{re}{imag}" if imag.startswith("-") else f"{re}+{imag}"
-
-
 def _jsonable(value):
     # the common leaves first: for any other type the Fraction test goes
     # through ABCMeta.__instancecheck__
@@ -165,7 +155,7 @@ def run_fiber(cfg: dict) -> dict:
         restriction_matrix={
             "rows": list(rmap.target_labels),
             "columns": list(rmap.source_labels),
-            "entries": [[_fmt_gauss(x) for x in row] for row in rmap.matrix],
+            "entries": [[str(x) for x in row] for row in rmap.matrix],
         },
         restriction_rank=rank,
     )

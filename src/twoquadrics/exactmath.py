@@ -1,14 +1,14 @@
-"""Exact scalar arithmetic and exact linear algebra over Q, Q(i), F_p and Z.
+"""Exact scalar arithmetic and exact linear algebra over Q, F_p and Z.
 
-Scalars are plain ``int`` and ``fractions.Fraction``; Gaussian rationals get
-a small class.  Matrices are row-major lists of lists holding every
-entry, zeros included; ``mat_mul`` and back-substitution skip the zero
-entries, so a product with a sparse factor costs about one step per
-nonzero pair.  The determinant and the congruence diagonal of a rational
-matrix are computed fraction-free: the matrix is scaled to integers and
-Bareiss elimination keeps every intermediate value an integer.  All pivot
-choices are the lowest admissible index, so every routine is deterministic
-and its output reproducible bit for bit.
+Scalars are plain ``int`` and ``fractions.Fraction``.  Matrices are
+row-major lists of lists holding every entry, zeros included; ``mat_mul``
+and back-substitution skip the zero entries, so a product with a sparse
+factor costs about one step per nonzero pair.  The determinant and the
+congruence diagonal of a rational matrix are computed fraction-free: the
+matrix is scaled to integers and Bareiss elimination keeps every
+intermediate value an integer.  All pivot choices are the lowest
+admissible index, so every routine is deterministic and its output
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -20,79 +20,6 @@ Vec = list[Fraction]
 Mat = list[list[Fraction]]
 
 
-class GaussRational:
-    """Gaussian rational re + im*sqrt(-1) with exact components."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
-        self.re = re
-        self.im = im
-
-    @staticmethod
-    def of(value) -> "GaussRational":
-        if isinstance(value, GaussRational):
-            return value
-        return GaussRational(Fraction(value), Fraction(0))
-
-    def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return not self.im and self.re == other
-        if not isinstance(other, GaussRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __neg__(self) -> "GaussRational":
-        return GaussRational(-self.re, -self.im)
-
-    def __add__(self, other) -> "GaussRational":
-        if isinstance(other, (int, Fraction)):
-            other = GaussRational.of(other)
-        if not isinstance(other, GaussRational):
-            return NotImplemented
-        return GaussRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "GaussRational":
-        return self + (-GaussRational.of(other))
-
-    def __rsub__(self, other) -> "GaussRational":
-        return GaussRational.of(other) + (-self)
-
-    def __mul__(self, other) -> "GaussRational":
-        if isinstance(other, (int, Fraction)):
-            other = GaussRational.of(other)
-        if not isinstance(other, GaussRational):
-            return NotImplemented
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "GaussRational":
-        other = GaussRational.of(other)
-        norm = other.re * other.re + other.im * other.im
-        if not norm:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        num = self * other.conjugate()
-        return GaussRational(num.re / norm, num.im / norm)
-
-    def __repr__(self) -> str:
-        return f"GaussRational({self.re!r}, {self.im!r})"
-
-
-IMAG_UNIT = GaussRational(Fraction(0), Fraction(1))
-
-
 def mat_mul(a, b):
     """Exact product ``a * b`` that skips zero entries of either factor.
 
@@ -100,8 +27,8 @@ def mat_mul(a, b):
     row k of ``b``, so the cost is the number of such nonzero pairs rather
     than rows * inner * columns.  Every output entry starts from a zero of
     the product's type, ``0 * a[0][0] * b[0][0]``: an all-zero entry of a
-    Fraction product is ``Fraction(0)``, of a GaussRational product a zero
-    GaussRational, of an int product ``0``, as the dense sum gives them.
+    Fraction product is ``Fraction(0)``, of an int product ``0``, as the
+    dense sum gives them.
     """
     if len(a[0]) != len(b):
         raise ValueError("inner dimensions do not match")
@@ -117,12 +44,6 @@ def mat_mul(a, b):
                     acc[j] += x * y
         out.append(acc)
     return out
-
-
-def conjugate_transpose(a: list[list[GaussRational]]) -> list[list[GaussRational]]:
-    """Zero entries are carried over, not conjugated."""
-    return [[x.conjugate() if x else x for x in map(GaussRational.of, col)]
-            for col in zip(*a)]
 
 
 def _check_rect(m) -> tuple[int, int]:
@@ -173,11 +94,10 @@ def echelon(m, p=None):
     """Row echelon form by forward elimination, with its pivot columns.
 
     Works over F_p, on the entries reduced mod the prime ``p``, when ``p``
-    is given, and over the field of the entries (Fraction or
-    GaussRational) otherwise.  The pivot is the first nonzero entry at or below the
-    current row.  Pivot rows are neither normalized nor cleared above:
-    ``rank`` needs only the pivot count, and ``kernel_basis`` and
-    ``solve_exact`` back-substitute.
+    is given, and over Q, on Fraction entries, otherwise.  The pivot is the
+    first nonzero entry at or below the current row.  Pivot rows are
+    neither normalized nor cleared above: ``rank`` needs only the pivot
+    count, and ``kernel_basis`` and ``solve_exact`` back-substitute.
     """
     work = [list(row) for row in m] if p is None else [[x % p for x in row] for row in m]
     n_rows = len(work)

@@ -10,23 +10,14 @@ difference-of-restrictions map gamma to the divisor, computed here
 over the six-block basis.  The intersection pairing descends from the
 component tables with a sign flip on the blow-up block, and the whole
 package restricts to the middle cohomology of the smooth fiber by an
-explicit diagonal matrix with two square-root-of-minus-one strings.
-The glued-fiber classes and their pairing are rational; Gaussian
-rationals enter only with that restriction.
+explicit rational matrix with at most one nonzero entry per column.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactmath import (
-    GaussRational,
-    IMAG_UNIT,
-    Mat,
-    conjugate_transpose,
-    kernel_basis,
-    rank,
-)
+from .exactmath import Mat, kernel_basis, rank
 
 
 # Top intersection numbers of the components, the same in every dimension.
@@ -183,7 +174,7 @@ class RestrictionMap:
     def __init__(
         self,
         m: int,
-        matrix: tuple[tuple[GaussRational, ...], ...],  # (m+4) x (m+5)
+        matrix: tuple[tuple[Fraction, ...], ...],  # (m+4) x (m+5)
         source_labels: tuple[str, ...],
         target_labels: tuple[str, ...],
     ):
@@ -192,41 +183,37 @@ class RestrictionMap:
         self.source_labels = source_labels
         self.target_labels = target_labels
 
-    def kernel(self) -> list[list[GaussRational]]:
+    def kernel(self) -> list[list[Fraction]]:
         return kernel_basis(self.matrix)
 
     def is_pairing_preserving(self) -> bool:
-        """Hermitian compatibility: conjugate-transpose(M) * G_X * M must
-        reproduce the fiber Gram on the kernel basis.  Conjugation makes
-        the imaginary-unit columns square to the table's -1 entries.  The
-        Gaussian entries compare to the rational Gram as they stand."""
+        """Bilinear compatibility: transpose(M) * G_X * M must reproduce the
+        fiber Gram on the kernel basis.  Specialization of cohomology is a
+        map of rational vector spaces, so the form is bilinear: z_i squares
+        to -1 because its image e_i does, and the sign of a column does not
+        show."""
         mt = self.matrix
-        zero = GaussRational.of(0)
-        gx = [
-            [GaussRational.of(v) if v else zero for v in row]
-            for row in x_middle_gram(self.m)
-        ]
         from .exactmath import mat_mul
 
-        lhs = mat_mul(conjugate_transpose(mt), mat_mul(gx, mt))
+        lhs = mat_mul(list(zip(*mt)), mat_mul(x_middle_gram(self.m), mt))
         return lhs == fiber_gram_on_kernel(self.m)
 
 
 def restriction_map(m: int) -> RestrictionMap:
     """The diagonal restriction matrix: h1+h2 goes to omega, h1+hz-h2 dies,
-    beta and theta hit the two +1 classes, and each z_i maps to
-    sqrt(-1) times the corresponding -1 class."""
+    beta and theta hit the two +1 classes, and each z_i maps to the
+    corresponding -1 class e_i."""
     _require_fiber_dimension(m)
     source = mv_kernel_labels(m)
     target = x_basis_labels(m)
     n_rows, n_cols = m + 4, m + 5
-    zero = GaussRational.of(0)
+    zero, one = Fraction(0), Fraction(1)
     mat = [[zero] * n_cols for _ in range(n_rows)]
-    mat[0][0] = GaussRational.of(1)  # h1+h2 -> omega
-    mat[m + 2][2] = GaussRational.of(1)  # beta -> e_{m+2}
-    mat[m + 3][3] = GaussRational.of(1)  # theta -> e_{m+3}
+    mat[0][0] = one  # h1+h2 -> omega
+    mat[m + 2][2] = one  # beta -> e_{m+2}
+    mat[m + 3][3] = one  # theta -> e_{m+3}
     for i in range(1, m + 2):
-        mat[i][3 + i] = IMAG_UNIT  # z_i -> sqrt(-1) e_i
+        mat[i][3 + i] = one  # z_i -> e_i
     return RestrictionMap(
         m, tuple(tuple(row) for row in mat), source, target
     )

@@ -421,9 +421,9 @@ ALGEBRA_JSON_SHA256 = {
     ("cohomology", 4): "f8724fa8db6b5f4083a68117ce13c33517debd56b4d88cffbcf11bb0ab29ff32",
     ("cohomology", 12): "056b9d71c572e96fd2d26ba4817dcf4e8c01922e1756cbac983bad32e68b1889",
     ("cohomology", 40): "f8d084e694309d147a1cde6d0a53943aec571943557bc2059f6ad9842d0b24b0",
-    ("fiber", 4): "b2878c6b3d54c5c7cde14be7980812a6ab8e2e812032e841bf9430ac38c0be25",
-    ("fiber", 12): "44febff8e565d58af7df60f3a8e2823b1e88ea79ab5092d5845fa48c1e86520b",
-    ("fiber", 40): "bb42f74969a137529e59bc2088b83b6575d73eb0ef70091b0fab91fa59487f0d",
+    ("fiber", 4): "5a752f6b8e7eeef469779193944e90ef2ad09f5cc726bbeeb36fca8d084d3072",
+    ("fiber", 12): "bb39b43a843ce099374a4c9d0198917c360eece065f88c36d9a5605c339e14d1",
+    ("fiber", 40): "234fd4341e8d82787090b96c11bbe05a524c9fc43ca4598b4328e0afd81352a9",
     ("geombasis", 4): "7f4a47f9eb68330615d125985e469ff72f9098c23fa13fd9811c38b7956d6b21",
     ("geombasis", 12): "1423dc1fc20ba087c7070c29412c8e5a1293edf129ed5c7891c4c2caaf5ccb5b",
     ("geombasis", 40): "1c1a9a9abc1e35d39b201d81a8d3f4a1d95044be5c00977b5749da51f1a30786",
@@ -442,7 +442,7 @@ def test_algebra_json_matches_golden_digests(capsys):
 SCAN_JSON_SHA256 = {
     ("full", "--m", "4", "--seed", "0"): (
         EXIT_OK,
-        "4050bf290934c60c441b108022f319e2196521022d6d41d85f97e7bff66ea483",
+        "b249ed3e74454e0cd60d78312a00666bc429e1939b6582e85a11336fe8b86642",
     ),
     ("smoothness", "--m", "4", "--primes", "3"): (
         EXIT_INCONCLUSIVE,

@@ -10,8 +10,6 @@ import exactmath_reference as reference
 from exactmath_reference import identity, integer_kernel_basis, transpose
 from twoquadrics.cohomology import pairing_constants
 from twoquadrics.exactmath import (
-    GaussRational,
-    IMAG_UNIT,
     det,
     gram_diagonalize,
     kernel_basis,
@@ -158,17 +156,15 @@ def _dense_mat_mul(a, b):
 
 def _random_entry(rng, kind, density):
     if rng.random() >= density:
-        return {"int": 0, "fraction": Fraction(0), "gauss": GaussRational.of(0)}[kind]
+        return {"int": 0, "fraction": Fraction(0)}[kind]
     if kind == "int":
         return rng.choice([-3, -2, -1, 1, 2, 5])
-    if kind == "fraction":
-        return Fraction(rng.choice([-3, -1, 1, 2, 7]), rng.randint(1, 5))
-    return GaussRational(Fraction(rng.randint(-3, 3), rng.randint(1, 4)), Fraction(rng.randint(-3, 3)))
+    return Fraction(rng.choice([-3, -1, 1, 2, 7]), rng.randint(1, 5))
 
 
 def test_mat_mul_matches_dense_oracle_in_value_and_type():
     rng = random.Random(17)
-    kinds = ("int", "fraction", "gauss")
+    kinds = ("int", "fraction")
     shapes = [(1, 6, 1), (6, 1, 5), (1, 1, 1), (4, 7, 3), (8, 8, 8)]
     for kind_a, kind_b in product(kinds, repeat=2):
         for rows, inner, cols in shapes:
@@ -370,75 +366,6 @@ def test_fraction_sum_matches_schoolbook():
         assert (total.numerator, total.denominator) == (num, den)
 
 
-def test_gauss_rational_arithmetic():
-    x = GaussRational(frac(1, 2), frac(3))
-    y = GaussRational(frac(2), frac(-1))
-    assert x + y == GaussRational(frac(5, 2), frac(2))
-    assert IMAG_UNIT * IMAG_UNIT == -1
-    assert x * y - y * x == 0
-    assert (x / y) * y == x
-    assert x.conjugate().im == -x.im
-    assert not GaussRational()
-    with pytest.raises(ZeroDivisionError):
-        x / GaussRational()
-
-
-def test_gauss_rational_equals_a_rational_only_when_real():
-    for value in (0, 3, -2, Fraction(0), Fraction(1, 2), Fraction(-7, 3)):
-        real = GaussRational.of(value)
-        assert real == value and value == real
-        assert not real != value
-        assert real != value + 1 and value + 1 != real
-        tilted = GaussRational(Fraction(value), Fraction(1, 5))
-        assert tilted != value and value != tilted
-    assert GaussRational(1, 1) != 1
-    assert IMAG_UNIT != 0 and GaussRational() == 0 and GaussRational() == Fraction(0)
-    assert all(type(GaussRational(1, k) == 1) is bool for k in (0, 1))
-
-
-def test_kernel_over_gauss_rationals_of_a_matrix_without_zeros():
-    g, f = GaussRational, Fraction
-    m = [
-        [g(f(1), f(2)), g(f(-3), f(1)), g(f(1, 2), f(-1)), g(f(2), f(5)), g(f(-1), f(-1))],
-        [g(f(4), f(-1)), g(f(1, 3), f(1)), g(f(-2), f(3)), g(f(1), f(1)), g(f(3), f(1, 2))],
-        [g(f(-1), f(1)), g(f(2), f(-2)), g(f(5), f(1)), g(f(-1, 2), f(3)), g(f(1), f(-4))],
-    ]
-    assert all(x.re and x.im for row in m for x in row)
-    one, zero = GaussRational.of(1), GaussRational.of(0)
-    # the basis the dense back-substitution gives, pinned
-    assert kernel_basis(m) == [
-        [
-            g(f(-185375, 219332), f(-90589, 219332)),
-            g(f(-4119, 54833), f(227559, 219332)),
-            g(f(-38400, 54833), f(-44884, 54833)),
-            one,
-            zero,
-        ],
-        [
-            g(f(-6148, 54833), f(12668, 54833)),
-            g(f(-23853, 219332), f(-58947, 219332)),
-            g(f(8505, 54833), f(49438, 54833)),
-            zero,
-            one,
-        ],
-    ]
-    for v in kernel_basis(m):
-        assert all(sum((r * x for r, x in zip(row, v)), zero) == 0 for row in m)
-
-
-def test_rank_and_kernel_over_gauss_rationals():
-    one = GaussRational.of(1)
-    zero = GaussRational.of(0)
-    m = [[IMAG_UNIT, zero, one], [zero, zero, zero]]
-    assert rank(m) == 1
-    basis = kernel_basis(m)
-    assert len(basis) == 2
-    for v in basis:
-        assert all(
-            sum((r * x for r, x in zip(row, v)), zero) == 0 for row in m
-        )
-
-
 def _span_mod(vectors, n, p):
     """Every F_p combination of the vectors, as a set of n-tuples."""
     return {
@@ -468,17 +395,17 @@ def test_rank_and_kernel_mod_p_against_brute_force():
             assert _span_mod(basis, cols, p) == null
 
 
-def test_kernel_over_gauss_rationals_finds_the_restriction_null_class():
+def test_kernel_over_rationals_finds_the_restriction_null_class():
     from twoquadrics.specialfiber import restriction_map
 
     rmap = restriction_map(4)
     rows = rmap.matrix
-    # row operations keep the kernel; mix in imaginary multiples
+    # row operations keep the kernel; mix in rational multiples
     mixed = [list(row) for row in rows]
     for i in range(1, len(mixed)):
-        mixed[0] = [a + IMAG_UNIT * i * b for a, b in zip(mixed[0], mixed[i])]
+        mixed[0] = [a + frac(i, 3) * b for a, b in zip(mixed[0], mixed[i])]
         mixed[i] = [b - frac(1, 2) * a for a, b in zip(mixed[i - 1], mixed[i])]
     assert rank(mixed) == rank(rows) == len(rows)
     basis = kernel_basis(mixed)
-    assert basis == rmap.kernel() == [[GaussRational.of(int(j == 1)) for j in range(len(rows[0]))]]
-    assert all(isinstance(x, GaussRational) for x in basis[0])
+    assert basis == rmap.kernel() == [[Fraction(int(j == 1)) for j in range(len(rows[0]))]]
+    assert all(type(x) is Fraction for x in basis[0])

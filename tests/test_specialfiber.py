@@ -6,7 +6,7 @@ import specialfiber_reference as reference
 from specialfiber_reference import fiber_pairing, from_labels
 from twoquadrics import specialfiber
 from twoquadrics.chern import CIDescriptor, euler_char, primitive_middle_dim
-from twoquadrics.exactmath import GaussRational, IMAG_UNIT, kernel_basis, rank
+from twoquadrics.exactmath import kernel_basis, rank
 from twoquadrics.specialfiber import (
     RestrictionMap,
     fiber_basis_labels,
@@ -17,7 +17,6 @@ from twoquadrics.specialfiber import (
     restriction_map,
     restriction_to_divisor,
     x1_restriction,
-    x_middle_gram,
 )
 
 
@@ -135,10 +134,10 @@ def test_mixed_component_products_vanish():
 
 def _apply(rmap, kernel_coords):
     """Image of a class given in the named kernel basis."""
-    coords = [GaussRational.of(c) for c in kernel_coords]
+    coords = [Fraction(c) for c in kernel_coords]
     assert len(coords) == len(rmap.source_labels)
     return [
-        sum((row[j] * coords[j] for j in range(len(coords))), GaussRational.of(0))
+        sum((row[j] * coords[j] for j in range(len(coords))), Fraction(0))
         for row in rmap.matrix
     ]
 
@@ -151,23 +150,45 @@ def test_restriction_images():
     assert _apply(rmap, [1, 0, 0, 0, 0, 0, 0, 0, 0]) == [1, 0, 0, 0, 0, 0, 0, 0]
     # the null combination dies
     assert all(not c for c in _apply(rmap, [0, 1, 0, 0, 0, 0, 0, 0, 0]))
-    # z_1 -> sqrt(-1) e_1
+    # z_1 -> e_1
     image = _apply(rmap, [0, 0, 0, 0, 1, 0, 0, 0, 0])
-    assert image[1] == IMAG_UNIT and all(not c for i, c in enumerate(image) if i != 1)
+    assert image[1] == 1 and all(not c for i, c in enumerate(image) if i != 1)
     # beta and theta hit the last two classes
     assert _apply(rmap, [0, 0, 1, 0, 0, 0, 0, 0, 0])[m + 2] == 1
     assert _apply(rmap, [0, 0, 0, 1, 0, 0, 0, 0, 0])[m + 3] == 1
 
 
+def _reference_verdict(rmap):
+    return reference.restriction_gram(rmap) == reference.fiber_gram_on_kernel(rmap.m)
+
+
 def test_restriction_is_pairing_preserving():
-    for m in (4, 6, 8):
-        assert restriction_map(m).is_pairing_preserving()
+    for m in (4, 6, 8, 40):
+        rmap = restriction_map(m)
+        assert rmap.is_pairing_preserving(), m
+        assert reference.restriction_gram(rmap) == _expected_kernel_gram(m), m
+
+
+def test_restriction_matrix_is_rational_and_monomial():
+    # the hypothesis under which transpose(M) * G_X * M and the Hermitian
+    # form of a map with unit-modulus entries agree: G_X is diagonal, and
+    # each column of M meets at most one row, no row twice
+    for m in range(4, 41, 2):
+        matrix = restriction_map(m).matrix
+        assert all(type(x) is Fraction for row in matrix for x in row), m
+        rows_hit = []
+        for col in zip(*matrix):
+            nonzero = [i for i, x in enumerate(col) if x]
+            assert len(nonzero) <= 1, m
+            rows_hit += nonzero
+            assert all(abs(col[i]) == 1 for i in nonzero), m
+        assert len(rows_hit) == len(set(rows_hit)) == m + 4, m
 
 
 def _altered(rmap, edits):
     rows = [list(row) for row in rmap.matrix]
     for (i, j), value in edits.items():
-        rows[i][j] = GaussRational.of(value)
+        rows[i][j] = Fraction(value)
     return RestrictionMap(
         rmap.m, tuple(tuple(row) for row in rows), rmap.source_labels, rmap.target_labels
     )
@@ -176,16 +197,28 @@ def _altered(rmap, edits):
 def test_pairing_check_rejects_wrong_restrictions():
     for m in (4, 6, 10):
         rmap = restriction_map(m)
-        # beta (column 2) sent to the -1 class e_1 instead of e_{m+2}
-        beta_to_e1 = _altered(rmap, {(m + 2, 2): 0, (1, 2): 1})
-        assert not beta_to_e1.is_pairing_preserving()
-        # z_1 (column 4) sent to 2 sqrt(-1) e_1, so it squares to -4
-        doubled_z = _altered(rmap, {(1, 4): IMAG_UNIT * 2})
-        assert not doubled_z.is_pairing_preserving()
-        # theta sent to (3 e_{m+2} + 4 e_{m+3}) / 5 still squares to 1, but
-        # now pairs to 3/5 with beta: only an off-diagonal entry is wrong
-        tilted = _altered(rmap, {(m + 2, 3): Fraction(3, 5), (m + 3, 3): Fraction(4, 5)})
-        assert not tilted.is_pairing_preserving()
+        wrong = {
+            # beta (column 2) sent to the -1 class e_1 instead of e_{m+2}
+            "beta to e_1": _altered(rmap, {(m + 2, 2): 0, (1, 2): 1}),
+            # z_1 (column 4) sent to 2 e_1, so it squares to -4
+            "doubled z": _altered(rmap, {(1, 4): 2}),
+            # z_1 sent to the +1 class e_{m+2}: it squares to +1 and pairs
+            # to 1 with beta
+            "z_1 to e_{m+2}": _altered(rmap, {(1, 4): 0, (m + 2, 4): 1}),
+            # theta sent to (3 e_{m+2} + 4 e_{m+3}) / 5 still squares to 1,
+            # but now pairs to 3/5 with beta: only an off-diagonal entry is
+            # wrong
+            "tilted theta": _altered(
+                rmap, {(m + 2, 3): Fraction(3, 5), (m + 3, 3): Fraction(4, 5)}
+            ),
+        }
+        for name, altered in wrong.items():
+            assert not altered.is_pairing_preserving(), (m, name)
+            assert not _reference_verdict(altered), (m, name)
+        # z_1 sent to -e_1 is an isometry: the check is bilinear, so the
+        # sign of a column does not show
+        flipped = _altered(rmap, {(1, 4): -1})
+        assert flipped.is_pairing_preserving() and _reference_verdict(flipped), m
 
 
 def test_restriction_kernel_and_rank():
@@ -196,16 +229,6 @@ def test_restriction_kernel_and_rank():
         assert len(kernel) == 1
         vec = kernel[0]
         assert vec[1] and all(not c for i, c in enumerate(vec) if i != 1)
-
-
-def test_pairing_check_on_imaginary_string():
-    m = 4
-    z1 = from_labels(m, {"z1": 1})
-    assert fiber_pairing(z1, z1) == -1
-    g = x_middle_gram(m)
-    image = IMAG_UNIT  # coefficient on e_1
-    hermitian = image * image.conjugate() * g[1][1]
-    assert hermitian == GaussRational.of(-1)
 
 
 def test_x1_restriction_table():
