@@ -46,18 +46,12 @@ def _section(name: str, claims: list[dict], **fields) -> dict:
     return {"name": name, **fields, "claims": claims, "ok": all(evidence)}
 
 
-def _jsonable(value):
-    # the common leaves first: for any other type the Fraction test goes
-    # through ABCMeta.__instancecheck__
-    if value is None or isinstance(value, (str, int)):
-        return value
+def _json_default(value):
+    """The JSON form of a report value that ``json`` has none for: a
+    Fraction is written as its str, and any other type is an error."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    raise TypeError(f"a report holds a {type(value).__name__}, which has no JSON form")
 
 
 def run_euler(cfg: dict) -> dict:
@@ -490,7 +484,7 @@ def main(argv=None) -> int:
     if args.format == "json":
         import json
 
-        rendered = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+        rendered = json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
     else:
         rendered = _render_text(report)
     if args.output:

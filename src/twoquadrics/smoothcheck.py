@@ -171,13 +171,13 @@ def _x0_count(lambdas, p: int) -> int:
     return (total // (p * p) - 1) // (p - 1)
 
 
-def _tails(pairs, lam, key, other, p: int):
-    """tails[r][s]: the last two coordinates (z, y) among ``pairs``, in
-    their order, with z^2 + y^2 = r and key[-2]*z + key[-1]*y = s mod p,
-    each with its terms of f2 and of the linear form ``other``."""
+def _tails(lam, key, other, p: int):
+    """tails[r][s]: the last two coordinates (z, y) in F_p^2, in
+    lexicographic order, with z^2 + y^2 = r and key[-2]*z + key[-1]*y = s
+    mod p, each with its terms of f2 and of the linear form ``other``."""
     (l1, l2), (k1, k2), (o1, o2) = lam[-2:], key[-2:], other[-2:]
     tails = [[[] for _ in range(p)] for _ in range(p)]
-    for z, y in pairs:
+    for z, y in product(range(p), repeat=2):
         tails[(z * z + y * y) % p][(k1 * z + k2 * y) % p].append(
             ((z, y), l1 * z * z + l2 * y * y, o1 * z + o2 * y)
         )
@@ -201,10 +201,10 @@ def _scan_base(data: PencilData, p: int):
     n = data.m + 3
     lam, a, b = data.lambdas, data.g1, data.g2
     k = n - 3  # the head's length, and the index of u
-    plane = list(product(range(p), repeat=2))
-    line = list(projective_reps(2, p))
-    on_plane = (_tails(plane, lam, a, b, p), _tails(plane, lam, b, a, p))
-    on_line = (_tails(line, lam, a, b, p), _tails(line, lam, b, a, p))
+    on_plane = (_tails(lam, a, b, p), _tails(lam, b, a, p))
+    # with a zero head and u = 0 both residues are 0, and the tails are
+    # (1, y) in order: (0, 1) never has z^2 + y^2 = 0
+    on_line = tuple([[[tail for tail in tails[0][0] if tail[0][0] == 1]]] for tails in on_plane)
     zero = (0,) * k
     groups = (
         (projective_reps(k, p), range(p), on_plane),
@@ -246,57 +246,27 @@ def _scan_base(data: PencilData, p: int):
             )
 
 
-def _minors(x, row, cols, j: int, p: int):
-    """The 2x2 minors of ``x`` and ``row`` on the columns ``cols`` against
-    column j, where x[j] != 0, lazily: all vanish exactly when ``row`` is a
-    multiple of ``x`` on those columns."""
-    xj, rj = x[j], row[j]
-    return ((row[i] * xj - rj * x[i]) % p for i in cols)
+def _pencil_root(x, lead, lam2, g, p: int):
+    """The members alpha*grad f2 + beta*g of the pencil span(grad f2, g)
+    that are multiples of the point x, where grad f2 = lam2*x and
+    x[lead] = 1: None when no member is, (alpha, beta) up to scale when
+    exactly one is, and (0, 0) when every member is.
 
-
-def _common_roots(x, alpha, beta, cols, j: int, p: int, inv):
-    """The t in F_p at which alpha*t + beta is a multiple of ``x`` on the
-    columns ``cols``, where x[j] != 0, in ascending order: none, exactly
-    one, or all of them.  Each 2x2 minor against column j is linear in t,
-    alpha_i*t + beta_i, and ``inv`` is the table of inverses mod p."""
-    xj, aj, bj = x[j], alpha[j], beta[j]
-    t = None
-    for i in cols:
-        al = (alpha[i] * xj - aj * x[i]) % p
-        be = (beta[i] * xj - bj * x[i]) % p
-        if t is not None:
-            if (al * t + be) % p:
-                return ()
-        elif al:
-            t = -be * inv[al] % p
-        elif be:
-            return ()
-    return range(p) if t is None else (t,)
-
-
-def _screen_triples(lam, rest, p: int):
-    """The column triples (i, k, l) of ``rest`` for ``_screen``: its last
-    three columns, its first three, and its first with its last two, each
-    with the weight differences its 3x3 minor needs mod p; none when
-    ``rest`` has fewer than three columns."""
-    if len(rest) < 3:
-        return []
-    return [
-        (i, k, l, (lam[l] - lam[k]) % p, (lam[l] - lam[i]) % p, (lam[k] - lam[i]) % p)
-        for i, k, l in (rest[-3:], rest[:3], (rest[0], *rest[-2:]))
-    ]
-
-
-def _screen(x, g, triples, p: int) -> bool:
-    """Whether x, lambda*x and g are independent on the columns of some
-    triple: one of their 3x3 minors there is nonzero mod p.  Then no
-    combination of lambda*x and g other than 0 is a multiple of x on those
-    columns.  False means only that these minors all vanish."""
-    for i, k, l, lk, li, ki in triples:
-        xi, xk, xl = x[i], x[k], x[l]
-        if (g[i] * xk * xl * lk - g[k] * xi * xl * li + g[l] * xi * xk * ki) % p:
-            return True
-    return False
+    Against the lead column the member minus its lead entry times x has
+    the entries alpha*u_i + beta*v_i, with u_i = x_i*(lam2_i - lam2_lead)
+    and v_i = g_i - g_lead*x_i.  The first nonzero pair (u_i, v_i) fixes
+    the one candidate (v_i : -u_i), and the first nonzero 2x2 minor
+    against it leaves none."""
+    l0, g0 = lam2[lead], g[lead]
+    alpha = beta = 0
+    for xi, li, gi in zip(x, lam2, g):
+        u = xi * (li - l0) % p
+        v = (gi - g0 * xi) % p
+        if (alpha * u + beta * v) % p:
+            return None
+        if not (alpha or beta):
+            alpha, beta = v, -u % p
+    return alpha, beta
 
 
 def _divisor_line(g1, g2, p: int) -> set[tuple[int, ...]]:
@@ -358,28 +328,33 @@ def smoothness_scan(data: PencilData, p: int) -> tuple[dict, dict]:
     takes back what the counted points with g1 = 0 do not add.
     ``points_scanned`` is the size of P^{m+2}(F_p), walked or counted.
 
-    At a walked point x of X0 off the divisor, with g the form that
-    vanishes there, every check asks whether some alpha*lambda*x + beta*g
-    with (alpha, beta) != 0 is a multiple of x off the lead column.
-    ``_screen`` settles x exactly when one 3x3 minor of x, lambda*x and g
-    there is nonzero: then no check can fail and x only adds to the
-    counters.  Where the minors tried all vanish, and at the base points,
-    the scan falls back to the exact route of ``_common_roots`` and
-    ``_minors``, which solves for the failing t and chart coordinates.
-    Only the center needs a rank: a base point is a center failure when
-    ``_rank_mod`` of [2x, grad f2, g1, g2] is below 4.  The divisor fails
-    exactly on the points of the line P(span(g1, g2)) on f1 = g1 = g2 = 0,
-    which ``_divisor_line`` finds once per prime."""
+    At a walked point x of X0, every check asks which members
+    alpha*grad f2 + beta*g of one pencil are multiples of x, for a form g
+    that vanishes at x; ``_pencil_root`` solves this once per form, and
+    where neither form has a root x only adds to the counters.  On X0
+    with g = 0 every member v has v.x = 0, as x.x = f1(x), grad f2.x =
+    2*f2(x) and g.x all vanish.  So a v that is c*x off the lead column,
+    where x is 1, is c*x there too: the total space, which tests all
+    columns, and the charts, which test the columns off the lead one, read
+    the same roots.  The deficient t are the members (t : w), w the value
+    of the other form; chart_T at G = 0 fails at the members (t : g1(x))
+    of the g2 pencil, chart_T at G = g != 0 at (1 : g) and chart_G2 at
+    G2 = g at (g : 1) of the g1 pencil.  Only the center needs a rank: a
+    base point is a center failure when ``_rank_mod`` of [2x, grad f2,
+    g1, g2] is below 4.  The divisor fails exactly on the points of the
+    line P(span(g1, g2)) on f1 = g1 = g2 = 0, which ``_divisor_line``
+    finds once per prime."""
     collisions = _validate(data, p)
     equations = _equation_hashes(data)
     n = data.m + 3
-    cols = range(n)
-    rests = [[i for i in cols if i != lead] for lead in cols]
-    inv = [0] + [pow(c, p - 2, p) for c in range(1, p)]
-    triples = [_screen_triples(data.lambdas, rest, p) for rest in rests]
     lam2 = [2 * v for v in data.lambdas]
     a, b = data.g1, data.g2
     on_line = _divisor_line(a, b, p)
+
+    def member(root, alpha, beta) -> bool:
+        """Whether alpha*grad f2 + beta*g is among the multiples of x that
+        ``_pencil_root`` returned as ``root``."""
+        return root is not None and (alpha * root[1] - beta * root[0]) % p == 0
 
     # a point with f2 != 0 lies on one fiber, t = -g1*g2/f2, where the t
     # column f2 gives rank 2; chart_T has a point above it where g1 != 0,
@@ -419,65 +394,55 @@ def smoothness_scan(data: PencilData, p: int) -> tuple[dict, dict]:
             chart_points += p
         if not w1:  # chart_T at G != 0 and chart_G2, one point per G or G2
             chart_points += 2 * p - 1
-        if not on_divisor and _screen(pt, b if w1 else a, triples[pt.index(1)], p):
-            # every check below asks whether alpha*lambda*x + beta*g, with
-            # g the form that vanishes at x and (alpha, beta) != 0, is a
-            # multiple of x off the lead column: never, as x, lambda*x and
-            # g are independent there
-            continue
-        # [grad f1, 0] = [2x, 0] is nonzero, so with f2 = 0 the pair is
-        # deficient exactly when [grad F2, 0] is a multiple of it.  grad F2
-        # = t*grad f2 + grad_1 with grad_1 = w1*g2 + w2*g1, so each 2x2
-        # minor against the lead column is linear in t
         lead = pt.index(1)
-        grad_f2 = [l * x for l, x in zip(lam2, pt)]
-        grad_1 = [w1 * bi + w2 * ai for ai, bi in zip(a, b)]
-        deficient_t = _common_roots(pt, grad_f2, grad_1, cols, lead, p, inv)
-        t_zero = 0 in deficient_t
+        if on_divisor:
+            # the center point's rows [2x, grad f2, g1, g2] need rank 4
+            base_points += 1
+            grad_f2 = [l * x for l, x in zip(lam2, pt)]
+            if _rank_mod([pt, grad_f2, a, b], p) < 4:
+                center_failures.append(pt)
+        root1 = None if w1 else _pencil_root(pt, lead, lam2, a, p)
+        root2 = None if w2 else _pencil_root(pt, lead, lam2, b, p)
+        if root1 is None and root2 is None:
+            # nothing fails at x; over a base point grad F2 is 0 at t = 0
+            t_zero_deficient += on_divisor
+            continue
+
+        # [grad f1, 0] = [2x, 0] is nonzero, so with f2 = 0 the pair is
+        # deficient exactly when grad F2 = t*grad f2 + g2(x)*g1 + g1(x)*g2
+        # is a multiple of x: the member (t : w) of the pencil of the form
+        # that vanishes at x, w the other form's value.  At a base point
+        # grad F2 = t*grad f2: t = 0 is deficient, and t != 0 where grad f2
+        # is a member, of the g1 pencil as of the g2 pencil
+        root, w = (root2, w1) if w1 else (root1, w2)
+        t_zero = on_divisor or member(root, 0, w)
         t_zero_deficient += t_zero
-        nonzero_t_deficient += len(deficient_t) - t_zero
+        nonzero_t_deficient += sum(member(root, t, w) for t in range(1, p))
         if t_zero != on_divisor:  # with f2 = 0, the base locus is g1 = g2 = 0
             discrepancies.append(pt)
 
         # chart_T is g1*G = 0 and t*G = g2; chart_G2 is g1 = 0 and t =
-        # g2*G2.  Each gradient below is linear in t or in the chart
-        # coordinate, and so are its minors against x: the failing values
-        # are solved, not searched
-        rest = rests[lead]
-        j = next(i for i in rest if pt[i])  # exists, since f1 = 0
+        # g2*G2.  The failing t and chart coordinates are read off the roots
         if not w2:
             # chart_T at G = 0, over every t: the rows are [2x, 0], [grad
-            # f2, g1] and [-g2, t].  t != 0 clears g1 from the second row,
-            # which leaves grad f2 + c*g2 with c = g1/t
-            bad_c = _common_roots(pt, b, grad_f2, rest, j, p, inv)
-            # at t = 0 only the second row has a last entry where g1 != 0;
-            # at a base point [2x, grad f2, g2] has rank 3 exactly when g2
-            # and every grad f2 + c*g2 are no multiples of x
-            if not (any(_minors(pt, b, rest, j, p)) and (w1 or not bad_c)):
-                chart_failures.append(("chart_T", pt + (0, 0)))
-            if w1:
-                bad_t = sorted(w1 * inv[c] % p for c in bad_c if c)
-            else:
-                bad_t = range(1, p) if 0 in bad_c else ()
-            chart_failures.extend(("chart_T", pt + (t_val, 0)) for t_val in bad_t)
+            # f2, g1] and [-g2, t], which fail where t*grad f2 + g1(x)*g2
+            # is a multiple of x.  At a base point t = 0 leaves the rows 2x,
+            # grad f2 and -g2, which any member of the g2 pencil fails
+            chart_failures.extend(
+                ("chart_T", pt + (t, 0)) for t in range(p) if member(root2, t, w1)
+            )
         if not w1:
             # chart_T at G = g != 0, t = g2/g, and chart_G2 at G2 = g, t =
             # g2*g: e = g1 = 0, so rank 3 means the gradient of the second
             # equation, grad f2 + g*g1 or g*grad f2 + g1, is no multiple of x
             chart_failures.extend(
-                ("chart_T", pt + (w2 * inv[g] % p, g))
-                for g in _common_roots(pt, a, grad_f2, rest, j, p, inv)
-                if g
+                ("chart_T", pt + (w2 * pow(g, -1, p) % p, g))
+                for g in range(1, p)
+                if member(root1, 1, g)
             )
             chart_failures.extend(
-                ("chart_G2", pt + (w2 * g % p, g))
-                for g in _common_roots(pt, grad_f2, a, rest, j, p, inv)
+                ("chart_G2", pt + (w2 * g % p, g)) for g in range(p) if member(root1, g, 1)
             )
-        if on_divisor:
-            # the center point's rows [2x, grad f2, g1, g2] need rank 4
-            base_points += 1
-            if _rank_mod([pt, grad_f2, a, b], p) < 4:
-                center_failures.append(pt)
 
     evidence_note = (
         "finite-field scan: agreement at several primes is strong "

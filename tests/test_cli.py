@@ -236,6 +236,17 @@ def test_internal_value_error_is_not_a_config_error(monkeypatch):
         main(["euler", "--m", "4"])
 
 
+def test_json_report_refuses_a_value_with_no_json_form(monkeypatch):
+    # a Fraction is written as its str; any other type JSON does not know
+    # is an internal error, not a silent pass-through
+    def odd(cfg):
+        return cli._section("euler", [{"claim": "odd value", "ok": True}], value=1j)
+
+    monkeypatch.setitem(cli._RUNNERS, "euler", odd)
+    with pytest.raises(TypeError, match="complex, which has no JSON form"):
+        main(["euler", "--m", "4", "--format", "json"])
+
+
 def test_failing_fiber_kernel_is_an_internal_error_not_a_report(monkeypatch):
     # a gamma that kills none of the named classes: mv_kernel raises
     monkeypatch.setattr(specialfiber, "gamma_matrix", lambda m: [[Fraction(1)] * (m + 6)])

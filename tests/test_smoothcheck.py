@@ -21,6 +21,7 @@ from twoquadrics.smoothcheck import (
     PencilData,
     _center_singular_mod,
     _equation_hashes,
+    _pencil_root,
     _pivot_minor,
     _rank_mod,
     _scan_base,
@@ -458,7 +459,7 @@ def test_oracle_cases_reach_every_failure_branch():
     assert any(charts["center_rank_failures"] for _, charts in reports)
 
 
-def _screened_cases():
+def _scan_cases():
     """ORACLE_CASES, the sweep pencils and the walk cases of every shape in
     WALK_GRID, as (data, p)."""
     yield from ORACLE_CASES
@@ -466,75 +467,60 @@ def _screened_cases():
     yield from ((data, p) for m, p in WALK_GRID for data in _walk_cases(m, p))
 
 
-def test_screen_settles_only_points_the_exact_route_clears(monkeypatch):
-    # at a non-divisor point of X0 with g the form that vanishes there, a
-    # screen that finds x, lambda*x and g independent off the lead column
-    # leaves the exact route nothing to find: no deficient t, no chart_T
-    # or chart_G2 root, and g no multiple of x
-    calls = []
-    real = smoothcheck._screen
+def _off_lead(x, rows):
+    """The rows restricted to the columns off the lead column of x."""
+    lead = x.index(1)
+    return [[row[i] for i in range(len(x)) if i != lead] for row in rows]
 
-    def recording(x, g, triples, p):
-        verdict = real(x, g, triples, p)
-        calls.append((x, g, triples, verdict))
-        return verdict
 
-    monkeypatch.setattr(smoothcheck, "_screen", recording)
-    verdicts = set()
-    for data, p in _screened_cases():
-        n = data.m + 3
-        inv = [0] + [pow(c, p - 2, p) for c in range(1, p)]
-        calls.clear()
-        smoothness_scan(data, p)
-        x0 = [(pt, w1, w2) for pt, _, v2, w1, w2 in _scan_base(data, p) if not v2 and (w1 or w2)]
-        assert [x for x, *_ in calls] == [pt for pt, _, _ in x0]
-        for (pt, w1, w2), (_, g, triples, verdict) in zip(x0, calls):
-            assert g is (data.g2 if w1 else data.g1)
-            verdicts.add(verdict)
-            if not verdict:
+def test_pencil_root_is_every_member_that_is_a_multiple_of_x_off_the_lead_column():
+    # at each walked point x of X0 and each form g that vanishes there, the
+    # members of span(grad f2, g) that _pencil_root returns, which are
+    # multiples of x on every column, are exactly those the charts find
+    # deficient with x off the lead column; the three outcomes all occur
+    outcomes = set()
+    for data, p in _scan_cases():
+        lam2 = [2 * v for v in data.lambdas]
+        line = [(1, c) for c in range(p)] + [(0, 1)]
+        for pt, _, v2, w1, w2 in _scan_base(data, p):
+            if v2:
                 continue
-            lead = pt.index(1)
-            rest = [i for i in range(n) if i != lead]
-            assert {i for triple in triples for i in triple[:3]} <= set(rest)
-            j = next(i for i in rest if pt[i])
-            grad_f2 = [2 * lam * x for lam, x in zip(data.lambdas, pt)]
-            grad_1 = [w1 * c + w2 * d for c, d in zip(data.g2, data.g1)]
-            roots = [
-                smoothcheck._common_roots(pt, grad_f2, grad_1, range(n), lead, p, inv),
-                smoothcheck._common_roots(pt, g, grad_f2, rest, j, p, inv),
-                smoothcheck._common_roots(pt, grad_f2, g, rest, j, p, inv),
-            ]
-            assert all(len(r) == 0 for r in roots), (data.g1, data.g2, p, pt)
-            assert any(smoothcheck._minors(pt, g, rest, j, p)), (data.g1, data.g2, p, pt)
-            rows = [[row[i] for i in rest] for row in (pt, grad_f2, g)]
-            assert _rank_mod(rows, p) == 3
-    assert verdicts == {True, False}
+            grad_f2 = [v * x for v, x in zip(lam2, pt)]
+            for g in [g for g, w in ((data.g1, w1), (data.g2, w2)) if not w]:
+                expected = {
+                    (alpha, beta)
+                    for alpha, beta in line
+                    if _rank_mod(
+                        _off_lead(pt, [pt, [alpha * u + beta * v for u, v in zip(grad_f2, g)]]), p
+                    )
+                    < 2
+                }
+                root = _pencil_root(pt, pt.index(1), lam2, g, p)
+                found = set()
+                if root is not None:
+                    found = {(al, be) for al, be in line if (al * root[1] - be * root[0]) % p == 0}
+                assert found == expected, (data.g1, data.g2, p, pt, root)
+                outcomes.add("none" if root is None else "all" if root == (0, 0) else "one")
+    assert outcomes == {"none", "one", "all"}
 
 
-def test_scan_without_the_screen_equals_the_scan_with_it(monkeypatch):
-    cases = [*ORACLE_CASES, *(_sweep_pencil(seed) for seed in range(25))]
-    screened = [smoothness_scan(data, p) for data, p in cases]
-    monkeypatch.setattr(smoothcheck, "_screen", lambda *args: False)
-    assert [smoothness_scan(data, p) for data, p in cases] == screened
-
-
-def test_screen_settles_most_x0_points(monkeypatch):
-    # the points that reach the exact route are the base points and the
-    # X0 points the screen leaves; at m = 4, p = 7 that is 15 of 763
+def test_no_x0_point_off_the_divisor_has_a_root_for_the_default_pencil():
+    # at m = 4, p = 7 every walked point of X0 off the divisor has x,
+    # lambda*x and g independent off the lead column, so no member of the
+    # pencil is a multiple of x and nothing fails there
     data, p = default_pencil(4, primes=(7,), seed=0), 7
-    exact = set()
-    real = smoothcheck._common_roots
-
-    def recording(x, *args):
-        exact.add(x)
-        return real(x, *args)
-
-    monkeypatch.setattr(smoothcheck, "_common_roots", recording)
-    _, charts = smoothness_scan(data, p)
-    x0 = sum(1 for _, _, v2, w1, w2 in _scan_base(data, p) if not v2 and (w1 or w2))
-    fallen_back = len(exact) - charts["center_points"]
-    assert x0 == 763
-    assert 0 <= fallen_back <= 0.05 * x0
+    lam2 = [2 * v for v in data.lambdas]
+    points = independent = rooted = 0
+    for pt, _, v2, w1, w2 in _scan_base(data, p):
+        if v2 or not (w1 or w2):
+            continue
+        g = data.g2 if w1 else data.g1
+        points += 1
+        lambda_x = [v * x for v, x in zip(data.lambdas, pt)]
+        independent += _rank_mod(_off_lead(pt, [pt, lambda_x, g]), p) == 3
+        rooted += _pencil_root(pt, pt.index(1), lam2, g, p) is not None
+    assert points == independent == 763
+    assert rooted == 0
 
 
 def test_divisor_line_is_where_the_divisor_drops_rank():
